@@ -1,7 +1,9 @@
 """Pure NumPy/SciPy implementation of the exponential-apply kernel.
 
-Mirrors ``_core.expm_taylor_apply`` term by term; used whenever the
-compiled extension is unavailable (or explicitly requested).
+Mirrors ``_core.expm_taylor_apply`` term by term, including its stop rule:
+a segment ends when the squared norm of the last term is at most tol^2 times
+the squared norm of the running result.  Used whenever the compiled
+extension is unavailable (or explicitly requested).
 """
 
 from __future__ import annotations
@@ -20,22 +22,27 @@ class TaylorApplier:
         )
 
     def apply(self, data, v, segments: int, tol: float, max_terms: int):
-        """Return (result, terms_used); terms_used is -1 on non-convergence."""
+        """Return (result, terms_used); terms_used is -1 on non-convergence.
+
+        ``v`` is never written: the first term's sum allocates the result.
+        """
         mat = self._mat
         mat.data = data
-        out = v.astype(np.complex128, copy=True)
+        tol_sq = tol * tol
+        out = v
         used = -1
         for _ in range(segments):
-            term = out.copy()
-            converged = False
+            term = out
             for m in range(1, max_terms + 1):
                 term = mat.dot(term)
                 term *= 1.0 / (segments * m)
-                out += term
-                if np.linalg.norm(term) <= tol * np.linalg.norm(out):
-                    converged = True
+                if m == 1:
+                    out = out + term
+                else:
+                    out += term
+                if np.vdot(term, term).real <= tol_sq * np.vdot(out, out).real:
                     used = m
                     break
-            if not converged:
+            else:
                 return out, -1
         return out, used

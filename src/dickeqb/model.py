@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -152,16 +153,17 @@ def build_H_static(params: ModelParams) -> SparseOperator:
 
     couplings = eta_matrix(params)
     flip_flop = sp.csr_matrix((dims.spin_dim, dims.spin_dim), dtype=complex)
+
+    @cache  # each (site, axis) operator is built once per call
+    def site(i, axis):
+        return ops.site_operator(i, axis, n)
+
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             e = couplings[i - 1, j - 1]
             if e == 0.0:
                 continue
-            sm_i = ops.site_operator(i, "-", n)
-            sp_j = ops.site_operator(j, "+", n)
-            sm_j = ops.site_operator(j, "-", n)
-            sp_i = ops.site_operator(i, "+", n)
-            flip_flop = flip_flop + e * (sm_i @ sp_j + sm_j @ sp_i)
+            flip_flop = flip_flop + e * (site(i, "-") @ site(j, "+") + site(j, "-") @ site(i, "+"))
     if flip_flop.nnz:
         mat = mat + ops.spin_to_joint(flip_flop, dims)
     return SparseOperator(dims, mat, hermitian=True)
@@ -172,6 +174,19 @@ def drive_operator(params: ModelParams) -> SparseOperator:
     a = ops.boson_matrix("annihilate", params.dims.boson_dim)
     return SparseOperator(
         params.dims, ops.boson_to_joint(a + a.conjugate().T, params.dims), hermitian=True
+    )
+
+
+def drive_commutator(params: ModelParams) -> SparseOperator:
+    """Commutator [H_b + H_static, a' + a] = omega_c (a' - a) on the joint space.
+
+    Only the cavity energy fails to commute with the drive quadrature, and
+    the truncated number operator is exactly diag(0..N_ph), so the identity
+    holds on the truncated space too.  The result is anti-Hermitian.
+    """
+    a = ops.boson_matrix("annihilate", params.dims.boson_dim)
+    return SparseOperator(
+        params.dims, ops.boson_to_joint(params.omegac * (a.conjugate().T - a), params.dims)
     )
 
 

@@ -126,6 +126,35 @@ class TestSweep:
             (tmp_path / "s2" / "sweep.csv").read_bytes()
 
 
+class TestEdgePopulationWarning:
+    QUIET_CFG = dict(N=1, g=0.1, Omega=0.0, N_ph=4, n_init=1,
+                     t_max=1.0, dt=0.01, sample_stride=10)
+
+    def test_silent_below_limit(self, tmp_path, capsys):
+        # top-level population 4.4e-7, below EDGE_POPULATION_LIMIT
+        cfg = write_config(tmp_path, **self.QUIET_CFG)
+        assert cli.main(["evolve", "--config", cfg, "--out", str(tmp_path / "ev")]) == 0
+        assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path / "sw")]) == 0
+        assert "warning" not in capsys.readouterr().err
+
+    def test_warns_per_point_in_grid_order(self, tmp_path, capsys):
+        # with N_ph=2 one photon above n_init=1 is the cutoff: g=0 never
+        # reaches it, g=0.5 and g=1 put 0.27 and 0.51 there
+        base = dict(N=1, Omega=0.0, N_ph=2, n_init=1, t_max=1.0, dt=0.01, sample_stride=10)
+        cfg = write_config(tmp_path, "one.json", g=0.5, **base)
+        assert cli.main(["evolve", "--config", cfg, "--out", str(tmp_path / "ev")]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("warning: 2.7e-01 ")
+        cfg = write_config(tmp_path, "grid.json", g=[1.0, 0.0, 0.5], **base)
+        out = tmp_path / "sw"
+        assert cli.main(["sweep", "--config", cfg, "--out", str(out), "--jobs", "2"]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert [line.split(" g=")[1].split()[0] for line in err] == ["0.5", "1"]
+        assert all(line.startswith("warning: ") and "N_ph=2" in line for line in err)
+        header, _ = read_csv(out / "sweep.csv")
+        assert header == ["g", "Omega", "eta", "N", "E_max", "P_max", "t_star_E", "t_star_P"]
+
+
 class TestFit:
     def make_power_csv(self, tmp_path, alpha=1.5, beta=2.0):
         path = tmp_path / "sweep.csv"

@@ -7,12 +7,21 @@ from dickeqb.dynamics import (
     _Recorder,
     _Stepper,
     _charging_segments,
+    _time_grid,
     oracle_propagate,
     propagate,
     step_magnus4,
 )
 from dickeqb.errors import DomainError, IntegrationError, ResourceError
-from dickeqb.model import ModelParams, hamiltonian_at, initial_state
+from dickeqb.model import (
+    ModelParams,
+    drive_coefficient,
+    drive_operator,
+    hamiltonian_at,
+    initial_state,
+    static_hamiltonian,
+)
+from dickeqb.observables import stored_energy
 from dickeqb.operators import StateVector, expectation
 
 
@@ -58,6 +67,22 @@ class TestStepMagnus4:
         psi0 = initial_state(p)
         want = scipy.linalg.expm(-1j * dt * h) @ psi0.amplitudes
         got = step_magnus4(psi0, 0.0, dt, p)
+        assert np.abs(got.amplitudes - want).max() < 1e-12
+
+    def test_driven_step_equals_dense_magnus4(self):
+        # one exponential of -i dt (H_on + c_mean D) + (sqrt3/12) dt^2 (c_b - c_a) [H_on, D]
+        p = ModelParams(N=2, g=0.6, eta=0.4, Omega=0.9, omegac=1.3, omegad=0.7,
+                        N_ph=3, n_init=1)
+        t, dt = 2.0, 0.05
+        h_on = static_hamiltonian(p).to_dense()
+        d = drive_operator(p).to_dense()
+        c_a, c_b = (drive_coefficient(t + x * dt, p)
+                    for x in (0.5 - np.sqrt(3) / 6, 0.5 + np.sqrt(3) / 6))
+        exponent = (-1j * dt * (h_on + 0.5 * (c_a + c_b) * d)
+                    + np.sqrt(3) / 12 * dt**2 * (c_b - c_a) * (h_on @ d - d @ h_on))
+        psi0 = initial_state(p)
+        want = scipy.linalg.expm(exponent) @ psi0.amplitudes
+        got = step_magnus4(psi0, t, dt, p)
         assert np.abs(got.amplitudes - want).max() < 1e-12
 
     def test_step_off_window_uses_battery_only(self):
@@ -195,6 +220,34 @@ class TestPropagate:
         traj = propagate(p, cfg)
         assert traj.times[-1] == pytest.approx(0.55)
         assert np.abs(traj.norms - 1.0).max() < 1e-10
+
+
+    def test_edge_population_tracks_top_fock_level(self):
+        # uncoupled and undriven, the cavity stays in its initial Fock state
+        cfg = PropagationConfig(t_max=0.5, dt=0.05, sample_stride=2)
+        full = propagate(ModelParams(N=2, N_ph=3, n_init=3), cfg)
+        empty = propagate(ModelParams(N=2, N_ph=3, n_init=1), cfg)
+        assert full.edge_population == pytest.approx(1.0, abs=1e-12)
+        assert empty.edge_population == 0.0
+
+
+class TestStepperBuffer:
+    @pytest.mark.parametrize("T", [0.23, 0.2])
+    def test_reuse_matches_fresh_steppers(self, T):
+        # t_max is no multiple of dt and T splits a step (0.23) or sits on an
+        # edge (0.2), so step width and charger state change along the run
+        p = ModelParams(N=2, g=0.5, Omega=0.8, eta=0.3, N_ph=4, T=T)
+        cfg = PropagationConfig(t_max=0.37, dt=0.05, sample_stride=1)
+        traj = propagate(p, cfg)
+        amps = initial_state(p).amplitudes
+        energies = [stored_energy(StateVector(p.dims, amps), p)]
+        edges = _time_grid(cfg)
+        for t0, t1 in zip(edges[:-1], edges[1:]):
+            for a, b, on in _charging_segments(t0, t1, p.T):
+                amps = _Stepper(p).step(amps, a, b - a, on)
+            energies.append(stored_energy(StateVector(p.dims, amps, norm_atol=1e-8), p))
+        assert np.abs(traj.final_state.amplitudes - amps).max() < 1e-14
+        assert np.abs(traj.E_b - energies).max() < 1e-14
 
 
 class TestStepperBackends:

@@ -11,6 +11,7 @@ from dickeqb.model import (
     charger_is_on,
     dipole_coupling,
     drive_coefficient,
+    drive_commutator,
     drive_operator,
     eta_matrix,
     hamiltonian_at,
@@ -168,6 +169,21 @@ class TestDrive:
         d = drive_operator(p).to_dense()
         a = build_boson("annihilate", p.dims).to_dense()
         assert np.abs(d - (a + a.conj().T)).max() < 1e-14
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(N=3, g=0.7, eta=-0.6, omegac=1.3, N_ph=3),
+            dict(N=3, g=0.4, coupling_mode="geometric", alpha_angle=0.4, R=1.2,
+                 omegac=0.8, N_ph=2, n_init=1),
+            dict(N=1, g=1.1, omegac=2.5, N_ph=1, n_init=0),
+        ],
+    )
+    def test_commutator_matches_numerical(self, kwargs):
+        p = ModelParams(**kwargs)
+        h_on = static_hamiltonian(p).to_dense()
+        d = drive_operator(p).to_dense()
+        assert np.abs(drive_commutator(p).to_dense() - (h_on @ d - d @ h_on)).max() < 1e-12
 
 
 class TestSwitchedHamiltonian:
