@@ -77,6 +77,7 @@ class CsrExpm:
         if used < 0:
             raise NumericalError(
                 f"exponential Taylor series did not converge within {max_terms} terms "
-                f"(segments={segments}); reduce dt"
+                f"(segments={segments}); split the exponent into more segments "
+                "or raise max_terms"
             )
         return result

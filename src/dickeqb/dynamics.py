@@ -1,7 +1,7 @@
 """Time propagation of the joint state under the switched, driven Hamiltonian.
 
-The production integrator is the fixed-step 4th-order Gauss-Magnus scheme
-(Blanes, Casas, Oteo & Ros, Phys. Rep. 470 (2009) 151): each step applies one
+The production integrator is the 4th-order Gauss-Magnus scheme (Blanes,
+Casas, Oteo & Ros, Phys. Rep. 470 (2009) 151): each step applies one
 exponential of the Magnus-4 exponent built from the Hamiltonian at the two
 Gauss-Legendre nodes of the step.  Only the drive coefficient c(t) depends on
 time, so the commutator of the node Hamiltonians is c_b - c_a times the fixed
@@ -9,14 +9,25 @@ operator [H_b + H_static, a'+a] = omega_c (a' - a), and the exponent is
 
     -i h (H_on + (c_a + c_b)/2 (a'+a)) + (sqrt(3)/12) h^2 (c_b - c_a) omega_c (a' - a).
 
-The exponent lives in one data buffer on a fixed CSR pattern, applied by the
-CSR Taylor kernel.  The buffer holds -i h H_on and is rebuilt only when h or
-the charger state changes; a driven step rewrites only the ~2 dim entries
-where a'+a and a'-a are nonzero.
+The run steps from sample to sample.  The samples sit at every
+sample_stride-th point of the dt grid (and at t_max); each sample interval,
+split at the window edges, is covered in n equal steps, with n the smallest
+count whose estimated local error per unit time is at most MAGNUS_TOL.  The
+estimate is ||(Omega6 - Omega4) psi||, the three-node Gauss-Magnus-6 exponent
+minus the applied one on the current state (an a-posteriori Magnus error
+estimate in the sense of Auzinger et al., ESAIM:M2AN 53 (2019)).  It is 0
+without a drive or with the charger off, so such intervals take one step:
+Magnus-4 is exact for a static Hamiltonian.  dt therefore sets the sample
+spacing, not the step.
+
+The exponent lives in a data buffer on a fixed CSR pattern, applied by the
+CSR Taylor kernel.  The buffer holds -i h H_on and is built once per distinct
+(h, charger state); a driven step rewrites only the ~2 dim entries where a'+a
+and a'-a are nonzero.
 
 An independent brute-force oracle (dense piecewise-constant exponential on a
-20x finer grid) shares nothing with that code path beyond the time grid and
-is used to cross-validate trajectories.
+20x finer dt grid) shares nothing with that code path beyond the sample
+times and is used to cross-validate trajectories.
 """
 
 from __future__ import annotations
@@ -26,6 +37,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+import scipy.sparse as sp
 
 from dickeqb import observables as obs
 from dickeqb._kernels import CsrExpm
@@ -38,6 +50,7 @@ from dickeqb.model import (
     drive_commutator,
     drive_operator,
     initial_state,
+    nested_commutators,
 )
 from dickeqb.operators import StateVector
 
@@ -46,10 +59,18 @@ from dickeqb.operators import StateVector
 GL_NODE_A = 0.5 - math.sqrt(3.0) / 6.0
 GL_NODE_B = 0.5 + math.sqrt(3.0) / 6.0
 MAGNUS_COMMUTATOR_WEIGHT = math.sqrt(3.0) / 12.0
+# Offset from the midpoint of the outer nodes of the three-node
+# Gauss-Legendre rule, used by the Magnus-6 exponent of the error estimate.
+GL3_OFFSET = math.sqrt(15.0) / 10.0
+
+# Bound on the estimated local error per unit time of one magnus4 step; a
+# sample interval takes the fewest equal steps that meet it.
+MAGNUS_TOL = 1e-8
 
 TAYLOR_TOL = 1e-12
 TAYLOR_MAX_TERMS = 64
 SEGMENT_NORM_BUDGET = 2.0  # max ||M||_inf handed to one Taylor segment
+BUFFER_SLOTS = 4  # exponent buffers kept, one per recent (h, charger on)
 
 NORM_DRIFT_LIMIT = 1e-6
 
@@ -61,7 +82,13 @@ METHODS = ("magnus4", "oracle_expm")
 
 @dataclass(frozen=True)
 class PropagationConfig:
-    """Grid and method knobs for one propagation run (times in 1/omega0)."""
+    """Grid and method knobs for one propagation run (times in 1/omega0).
+
+    ``dt * sample_stride`` is the sample spacing: observables are recorded
+    at every sample_stride-th point of the dt grid and at t_max.  The magnus4
+    step is not dt but comes from the error bound MAGNUS_TOL; the oracle
+    still steps at dt / ORACLE_SUBSTEPS.
+    """
 
     t_max: float = 20.0
     dt: float = 1e-3
@@ -97,6 +124,11 @@ class Trajectory:
     # Largest population of the top Fock level |N_ph> over the samples: how
     # much weight the photon cutoff holds.
     edge_population: float = 0.0
+    # magnus4 runs: exponentials taken, and the sum of their accepted local
+    # error estimates.  The propagator is unitary, so the global error is at
+    # most the sum of the true local errors, which the estimates track.
+    steps: int = 0
+    step_error: float = 0.0
 
     def __len__(self) -> int:
         return len(self.times)
@@ -156,12 +188,14 @@ def _inf_norm(mat) -> float:
 class _Stepper:
     """Gauss-Magnus 4th-order stepping machinery bound to one parameter set.
 
-    The exponent handed to the kernel is one persistent buffer on the union
-    pattern of H_on = H_b + H_static, H_b and the drive quadrature.  It holds
-    -i h H_on (or -i h H_b with the charger off) for the (h, on) it was last
-    built for; a driven step then overwrites only the drive positions, which
-    also carry the commutator omega_c (a' - a).  The drive and commutator data
-    are stored on those positions only.
+    The exponent handed to the kernel is a buffer on the union pattern of
+    H_on = H_b + H_static, H_b and the drive quadrature.  It holds -i h H_on
+    (or -i h H_b with the charger off) for the (h, on) it was built for, and
+    up to BUFFER_SLOTS such buffers are kept; a driven step then overwrites
+    only the drive positions, which also carry the commutator
+    omega_c (a' - a).  The drive and commutator data are stored on those
+    positions only.  ``advance`` picks the step count of an interval from
+    the local error estimate of ``local_error``.
     """
 
     def __init__(self, params: ModelParams, backend: str | None = None):
@@ -185,15 +219,35 @@ class _Stepper:
         self.norm_drive = _inf_norm(drive)
         self.norm_comm = _inf_norm(commutator)
         self.kernel = CsrExpm(indptr, indices, dim, backend=backend)
+        # Operators of the local error estimate; H_on shares the kernel's arrays.
+        self.h_on = sp.csr_matrix(
+            (self.data_on, self.kernel.indices, self.kernel.indptr), shape=(dim, dim)
+        )
+        self.drive, self.comm = drive, commutator
+        with_static, with_drive = nested_commutators(params)
+        self.comm_static = with_static.mat
+        self.comm_drive = with_drive.mat.diagonal()
         self.has_drive = params.Omega != 0.0
-        self._buffer = np.empty(len(indices), dtype=np.complex128)
-        self._buffer_key = None  # (h, on) the buffer's static part was built for
+        self._buffers = {}  # (h, on) -> buffer whose static part was built for it
+        self._buffer = None
+        self.builds = 0  # times a buffer's static part was built
 
     def _load(self, h: float, on: bool) -> None:
-        """Make the buffer hold -i h H_on (on) or -i h H_b (off)."""
-        if self._buffer_key != (h, on):
-            np.multiply(self.data_on if on else self.data_off, -1j * h, out=self._buffer)
-            self._buffer_key = (h, on)
+        """Make the buffer hold -i h H_on (on) or -i h H_b (off).
+
+        A step count that alternates between neighbours, as the error
+        control's does, finds its buffer kept; the oldest slot is reused.
+        """
+        key = (h, on)
+        self._buffer = self._buffers.get(key)
+        if self._buffer is None:
+            if len(self._buffers) < BUFFER_SLOTS:
+                out = np.empty(len(self.data_on), dtype=np.complex128)
+            else:
+                out = self._buffers.pop(next(iter(self._buffers)))
+            self._buffer = self._buffers[key] = out
+            np.multiply(self.data_on if on else self.data_off, -1j * h, out=out)
+            self.builds += 1
 
     def _apply(self, amps, norm_bound):
         segments = max(1, int(math.ceil(norm_bound / SEGMENT_NORM_BUDGET)))
@@ -217,6 +271,64 @@ class _Stepper:
         )
         norm = h * (self.norm_on + abs(c_mean) * self.norm_drive) + abs(c_comm) * self.norm_comm
         return self._apply(amps, norm)
+
+    def _probe(self, amps):
+        """H_on, a'+a, C and the nested commutators applied to the state."""
+        return (self.h_on @ amps, self.drive @ amps, self.comm @ amps,
+                self.comm_static @ amps, self.comm_drive * amps)
+
+    def local_error(self, probe, t: float, h: float) -> float:
+        """Estimated local error ||(Omega6 - Omega4) psi|| of a driven step.
+
+        Omega6 is the three-node Gauss-Magnus-6 exponent (Blanes et al. 2009):
+        alpha1 + alpha3/12 + [X, Y]/240 with X = -20 alpha1 - alpha3 + C1 and
+        Y = alpha2 + C2.  For A(t) = -i (H_on + c(t) D) every commutator in it
+        reduces to D, C = [H_on, D] and the nested commutators, so after the
+        matvecs in ``probe`` one estimate costs one H_on matvec and three on
+        the smaller drive operators.
+        """
+        k_psi, d_psi, c_psi, es_psi, ed_psi = probe
+        c_a, c_b, k1, k2, k3 = (
+            drive_coefficient(t + x * h, self.params)
+            for x in (GL_NODE_A, GL_NODE_B, 0.5 - GL3_OFFSET, 0.5, 0.5 + GL3_OFFSET)
+        )
+        # alpha1 = -i h (H_on + k2 D), alpha2 = -i b2 D, alpha3 = -i b3 D
+        b2 = (math.sqrt(15.0) / 3.0) * h * (k3 - k1)
+        b3 = (10.0 / 3.0) * h * (k3 - 2.0 * k2 + k1)
+        # X = x_k H_on + x_d D + x_c C;  Y = y_d D + y_c C + y_e (E_static + k2 E_drive)
+        x_k, x_d, x_c = 20j * h, 1j * (20.0 * h * k2 + b3), -h * b2
+        y_d, y_c, y_e = -1j * b2, h * b3 / 30.0, -1j * h * h * b2 / 60.0
+        x_psi = x_k * k_psi + x_d * d_psi + x_c * c_psi
+        y_psi = y_d * d_psi + y_c * c_psi + y_e * (es_psi + k2 * ed_psi)
+        # [X, Y] psi = X y_psi - Y x_psi, with the D and C terms merged
+        xy_yx = (x_k * (self.h_on @ y_psi)
+                 + self.drive @ (x_d * y_psi - y_d * x_psi)
+                 + self.comm @ (x_c * y_psi - y_c * x_psi)
+                 - y_e * (self.comm_static @ x_psi + k2 * (self.comm_drive * x_psi)))
+        diff = ((-1j * (h * (k2 - 0.5 * (c_a + c_b)) + b3 / 12.0)) * d_psi
+                - (MAGNUS_COMMUTATOR_WEIGHT * h * h * (c_b - c_a)) * c_psi
+                + xy_yx / 240.0)
+        return float(np.linalg.norm(diff))
+
+    def advance(self, amps: np.ndarray, t: float, length: float, on: bool):
+        """Cover [t, t + length] in n equal steps, n the smallest count whose
+        estimated local error per unit time is at most MAGNUS_TOL.
+
+        Returns the amplitudes, n and the interval's error estimate, n times
+        that of its first step.  Without a drive, or with the charger off,
+        the step is exact up to the Taylor tolerance and n is 1.
+        """
+        n, error = 1, 0.0
+        if on and self.has_drive:
+            probe = self._probe(amps)
+            error = self.local_error(probe, t, length)
+            while error > MAGNUS_TOL * length / n:
+                n += 1
+                error = self.local_error(probe, t, length / n)
+        h = length / n
+        for i in range(n):
+            amps = self.step(amps, t + i * h, h, on)
+        return amps, n, n * error
 
 
 @lru_cache(maxsize=4)
@@ -259,6 +371,28 @@ def _time_grid(cfg: PropagationConfig):
     return edges
 
 
+def _sample_intervals(cfg: PropagationConfig, T):
+    """Yield (t1, pieces) per sample interval [t0, t1]: the pieces are its
+    (start, length, charger on) spans between the window edges.
+
+    The sample times are every sample_stride-th point of the dt grid, and
+    t_max.  A piece as long as the nominal spacing sample_stride * dt gets
+    exactly that length, so the step width does not jitter with the float
+    sample times and the exponent buffer is built once per distinct step.
+    """
+    edges = _time_grid(cfg)
+    times = edges[::cfg.sample_stride]
+    if (len(edges) - 1) % cfg.sample_stride:
+        times.append(edges[-1])
+    nominal = cfg.sample_stride * cfg.dt
+    for t0, t1 in zip(times[:-1], times[1:]):
+        pieces = []
+        for a, b, on in _charging_segments(t0, t1, T):
+            length = nominal if math.isclose(b - a, nominal, rel_tol=1e-9) else b - a
+            pieces.append((a, length, on))
+        yield t1, pieces
+
+
 class _Recorder:
     """Accumulates the sampled observable series of one run."""
 
@@ -279,7 +413,8 @@ class _Recorder:
         if abs(nrm - 1.0) > NORM_DRIFT_LIMIT:
             raise IntegrationError(
                 f"norm drift {abs(nrm - 1.0):.3e} at t={t:.6g} exceeds {NORM_DRIFT_LIMIT}; "
-                "reduce dt"
+                "the Taylor kernel's drift grows with ||H|| and the run length, not with dt: "
+                "lower the photon cutoff N_ph or shorten t_max"
             )
         state = StateVector(self.params.dims, amps.copy(), norm_atol=2 * NORM_DRIFT_LIMIT)
         energy = obs.stored_energy(state, self.params)
@@ -293,7 +428,7 @@ class _Recorder:
         self.edge_population = max(self.edge_population, float(np.vdot(top, top).real))
         self.last_state = state
 
-    def build(self) -> Trajectory:
+    def build(self, steps: int = 0, step_error: float = 0.0) -> Trajectory:
         return Trajectory(
             times=np.asarray(self.times),
             E_b=np.asarray(self.E_b),
@@ -304,6 +439,8 @@ class _Recorder:
             params=self.params,
             final_state=self.last_state,
             edge_population=self.edge_population,
+            steps=steps,
+            step_error=step_error,
         )
 
 
@@ -317,8 +454,10 @@ def propagate(params: ModelParams, cfg: PropagationConfig | None = None,
               backend: str | None = None) -> Trajectory:
     """Evolve the initial product state over [0, t_max] and sample observables.
 
-    Records every ``sample_stride``-th step plus the initial and final times.
-    Raises IntegrationError when the state norm drifts beyond 1e-6.
+    Records at every ``sample_stride``-th point of the dt grid plus the
+    initial and final times.  The magnus4 path steps from sample to sample,
+    each interval in the fewest equal steps that meet MAGNUS_TOL.  Raises
+    IntegrationError when the state norm drifts beyond 1e-6.
     """
     cfg = cfg or PropagationConfig()
     if cfg.method == "oracle_expm":
@@ -328,16 +467,14 @@ def propagate(params: ModelParams, cfg: PropagationConfig | None = None,
     amps = initial_state(params).amplitudes
     recorder = _Recorder(params, StateVector(params.dims, amps))
     recorder.record(0.0, amps)
-    edges = _time_grid(cfg)
-    n_steps = len(edges) - 1
-    for k in range(n_steps):
-        t0, t1 = edges[k], edges[k + 1]
-        for a, b, on in _charging_segments(t0, t1, params.T):
-            if b > a:
-                amps = stepper.step(amps, a, b - a, on)
-        if (k + 1) % cfg.sample_stride == 0 or k + 1 == n_steps:
-            recorder.record(t1, amps)
-    return recorder.build()
+    steps, step_error = 0, 0.0
+    for t1, pieces in _sample_intervals(cfg, params.T):
+        for a, length, on in pieces:
+            amps, n, error = stepper.advance(amps, a, length, on)
+            steps += n
+            step_error += error
+        recorder.record(t1, amps)
+    return recorder.build(steps=steps, step_error=step_error)
 
 
 def oracle_propagate(params: ModelParams, cfg: PropagationConfig | None = None) -> Trajectory:

@@ -190,6 +190,29 @@ def drive_commutator(params: ModelParams) -> SparseOperator:
     )
 
 
+def nested_commutators(params: ModelParams) -> tuple[SparseOperator, SparseOperator]:
+    """[H_b + H_static, C] and [a' + a, C] for C = ``drive_commutator``.
+
+    With P = [a, a'] = diag(1, ..., 1, -N_ph) on the truncated Fock space
+    the two are omega_c^2 (a' + a) + 4 g omega_c J_x P and 2 omega_c P; the
+    cavity energy and the collective coupling are the only parts of H that
+    fail to commute with C.  Both are built from the boson factor and J_x,
+    never from products of joint-space matrices.
+    """
+    dims = params.dims
+    a = ops.boson_matrix("annihilate", dims.boson_dim)
+    quad = a + a.conjugate().T
+    ladder = (a @ a.conjugate().T - a.conjugate().T @ a).tocsr()
+    jx = 0.5 * sum(ops.site_operator(i, "x", dims.n_atoms) for i in range(1, dims.n_atoms + 1))
+    with_static = ops.boson_to_joint(params.omegac**2 * quad, dims)
+    if params.g != 0.0:
+        with_static = with_static + 4.0 * params.g * params.omegac * sp.kron(
+            jx, ladder, format="csr"
+        )
+    with_drive = ops.boson_to_joint(2.0 * params.omegac * ladder, dims)
+    return SparseOperator(dims, with_static), SparseOperator(dims, with_drive)
+
+
 def drive_coefficient(t: float, params: ModelParams) -> float:
     """Scalar drive amplitude Omega * cos(omega_d t) at time t."""
     return params.Omega * math.cos(params.omegad * t)

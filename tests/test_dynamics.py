@@ -1,12 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+from dickeqb import dynamics
 from dickeqb.dynamics import (
+    MAGNUS_TOL,
     PropagationConfig,
     _Recorder,
     _Stepper,
     _charging_segments,
+    _sample_intervals,
     _time_grid,
     oracle_propagate,
     propagate,
@@ -204,7 +209,8 @@ class TestPropagate:
         p = ModelParams(N=1, N_ph=1, n_init=0)
         rec = _Recorder(p, initial_state(p))
         bad = initial_state(p).amplitudes * 1.001
-        with pytest.raises(IntegrationError):
+        with pytest.raises(IntegrationError,
+                           match=r"^norm drift .* lower the photon cutoff N_ph or shorten t_max$"):
             rec.record(0.5, bad)
 
     def test_sampling_grid(self):
@@ -234,20 +240,158 @@ class TestPropagate:
 class TestStepperBuffer:
     @pytest.mark.parametrize("T", [0.23, 0.2])
     def test_reuse_matches_fresh_steppers(self, T):
-        # t_max is no multiple of dt and T splits a step (0.23) or sits on an
-        # edge (0.2), so step width and charger state change along the run
+        # t_max is no multiple of dt and T splits an interval (0.23) or sits on
+        # a sample time (0.2), so step width and charger state change along
+        # the run; replaying the step plan with a fresh stepper per piece
+        # must give the same state
         p = ModelParams(N=2, g=0.5, Omega=0.8, eta=0.3, N_ph=4, T=T)
         cfg = PropagationConfig(t_max=0.37, dt=0.05, sample_stride=1)
         traj = propagate(p, cfg)
         amps = initial_state(p).amplitudes
         energies = [stored_energy(StateVector(p.dims, amps), p)]
-        edges = _time_grid(cfg)
-        for t0, t1 in zip(edges[:-1], edges[1:]):
-            for a, b, on in _charging_segments(t0, t1, p.T):
-                amps = _Stepper(p).step(amps, a, b - a, on)
+        for _, pieces in _sample_intervals(cfg, p.T):
+            for a, length, on in pieces:
+                amps, _, _ = _Stepper(p).advance(amps, a, length, on)
             energies.append(stored_energy(StateVector(p.dims, amps, norm_atol=1e-8), p))
         assert np.abs(traj.final_state.amplitudes - amps).max() < 1e-14
         assert np.abs(traj.E_b - energies).max() < 1e-14
+
+    def test_builds_once_per_distinct_step(self, monkeypatch):
+        # dt = 4e-3 puts the sample times k * 0.02 off by a few ulp, and the
+        # step count alternates between 1 and 2 per interval
+        steppers, keys = [], set()
+
+        class Recording(_Stepper):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                steppers.append(self)
+
+            def step(self, amps, t, h, on):
+                keys.add((h, on))
+                return super().step(amps, t, h, on)
+
+        monkeypatch.setattr(dynamics, "_Stepper", Recording)
+        p = ModelParams(N=3, g=2.0, Omega=0.1, eta=-0.5)
+        cfg = PropagationConfig(t_max=4.0, dt=4e-3, sample_stride=5)
+        propagate(p, cfg)
+        nominal = cfg.sample_stride * cfg.dt
+        assert {h for h, _ in keys} <= {nominal / n for n in range(1, 8)}
+        assert len(keys) >= 2
+        assert steppers[0].builds <= len(keys)
+
+
+def _dense_exponents(p, t, h):
+    """Dense Gauss-Magnus-4 and -6 exponents (Blanes et al. 2009) of one step."""
+    h_on = static_hamiltonian(p).to_dense()
+    d = drive_operator(p).to_dense()
+
+    def gen(x):
+        return -1j * (h_on + drive_coefficient(t + x * h, p) * d)
+
+    def comm(x, y):
+        return x @ y - y @ x
+
+    a1, a2 = gen(0.5 - math.sqrt(3) / 6), gen(0.5 + math.sqrt(3) / 6)
+    omega4 = 0.5 * h * (a1 + a2) + math.sqrt(3) / 12 * h**2 * comm(a2, a1)
+    b1, b2, b3 = gen(0.5 - math.sqrt(15) / 10), gen(0.5), gen(0.5 + math.sqrt(15) / 10)
+    alpha1 = h * b2
+    alpha2 = math.sqrt(15) * h / 3 * (b3 - b1)
+    alpha3 = 10 * h / 3 * (b3 - 2 * b2 + b1)
+    c1 = comm(alpha1, alpha2)
+    c2 = -comm(alpha1, 2 * alpha3 + c1) / 60
+    omega6 = alpha1 + alpha3 / 12 + comm(-20 * alpha1 - alpha3 + c1, alpha2 + c2) / 240
+    return omega4, omega6
+
+
+def _state_at(p, t):
+    """A generic state: the initial state evolved under H_on for time t."""
+    h_on = static_hamiltonian(p).to_dense()
+    return scipy.linalg.expm(-1j * t * h_on) @ initial_state(p).amplitudes
+
+
+class TestLocalError:
+    def test_equals_dense_magnus6_difference(self):
+        p = ModelParams(N=2, g=0.6, eta=0.4, Omega=0.9, omegac=1.3, omegad=0.7, N_ph=4)
+        stepper = _Stepper(p)
+        psi = _state_at(p, 0.9)
+        probe = stepper._probe(psi)
+        for t, h in ((0.3, 0.05), (2.0, 0.2)):
+            omega4, omega6 = _dense_exponents(p, t, h)
+            want = np.linalg.norm((omega6 - omega4) @ psi)
+            assert stepper.local_error(probe, t, h) == pytest.approx(want, rel=1e-9)
+
+    @pytest.mark.parametrize("g, Omega, eta", [(2.0, 0.1, -0.5), (0.5, 1.0, 0.8)])
+    @pytest.mark.parametrize("h", [0.01, 0.02, 0.05, 0.1])
+    def test_tracks_true_local_error(self, g, Omega, eta, h):
+        # true error of one magnus4 step against 8 dense Magnus-6 substeps
+        p = ModelParams(N=3, g=g, Omega=Omega, eta=eta)
+        stepper = _Stepper(p)
+        for t in (0.7, 3.1):
+            psi = _state_at(p, t)
+            ref = psi
+            for i in range(8):
+                ref = scipy.linalg.expm(_dense_exponents(p, t + i * h / 8, h / 8)[1]) @ ref
+            true = np.linalg.norm(step_magnus4(StateVector(p.dims, psi), t, h, p).amplitudes - ref)
+            ratio = stepper.local_error(stepper._probe(psi), t, h) / true
+            assert 0.5 <= ratio <= 4.0, (t, ratio)
+
+    def test_zero_without_drive_or_charger(self):
+        p = ModelParams(N=2, g=0.7, Omega=0.0, eta=0.3, N_ph=6)
+        traj = propagate(p, PropagationConfig(t_max=1.0, dt=1e-3, sample_stride=25))
+        assert traj.step_error == 0.0
+        assert traj.steps == len(traj.times) - 1
+        driven = _Stepper(ModelParams(N=2, g=0.7, Omega=1.0, N_ph=6, T=1.0))
+        amps, n, error = driven.advance(initial_state(driven.params).amplitudes, 2.0, 0.5, False)
+        assert (n, error) == (1, 0.0)
+
+
+def _fixed_step_sample_times(cfg):
+    """Sample times of the fixed-dt stepping loop: every sample_stride-th
+    grid point, the final one and 0."""
+    edges = _time_grid(cfg)
+    n = len(edges) - 1
+    return [0.0] + [edges[k + 1] for k in range(n)
+                    if (k + 1) % cfg.sample_stride == 0 or k + 1 == n]
+
+
+class TestSampleToSample:
+    @pytest.mark.parametrize(
+        "t_max, dt, stride",
+        [(1.0, 0.1, 5), (1.0, 0.1, 3), (0.55, 0.1, 2), (2.0, 4e-3, 5), (0.5, 1e-3, 10)],
+    )
+    def test_times_are_the_fixed_grid_samples(self, t_max, dt, stride):
+        p = ModelParams(N=1, g=0.3, Omega=0.5, N_ph=2, n_init=1)
+        cfg = PropagationConfig(t_max=t_max, dt=dt, sample_stride=stride)
+        times = propagate(p, cfg).times
+        want = np.array(_fixed_step_sample_times(cfg))
+        assert times.shape == want.shape and np.array_equal(times, want)
+
+    @pytest.mark.parametrize("T", [None, 1.23])
+    def test_global_error_within_tolerance(self, T, monkeypatch):
+        # against fixed Magnus-4 steps at least 8x finer than every adaptive step
+        counts = []
+        advance = _Stepper.advance
+
+        def recording(self, amps, t, length, on):
+            out = advance(self, amps, t, length, on)
+            counts.append(out[1])
+            return out
+
+        monkeypatch.setattr(_Stepper, "advance", recording)
+        p = ModelParams(N=3, g=0.5, Omega=1.0, eta=0.8, T=T)
+        cfg = PropagationConfig(t_max=2.0, dt=0.01, sample_stride=10)
+        traj = propagate(p, cfg)
+        substeps = 8 * max(counts)
+        state = initial_state(p)
+        times = traj.times
+        for t0, t1 in zip(times[:-1], times[1:]):
+            h = (t1 - t0) / substeps
+            for i in range(substeps):
+                state = step_magnus4(state, t0 + i * h, h, p)
+        deviation = np.linalg.norm(traj.final_state.amplitudes - state.amplitudes)
+        assert max(counts) > 1
+        assert deviation <= 20 * MAGNUS_TOL * cfg.t_max
+        assert traj.step_error >= deviation
 
 
 class TestStepperBackends:

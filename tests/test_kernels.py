@@ -64,7 +64,8 @@ def test_nonconvergence_raises(backend):
     mat = sp.identity(4, format="csr", dtype=complex) * 50.0
     kern = CsrExpm(mat.indptr, mat.indices, 4, backend=backend)
     v = np.ones(4, dtype=complex)
-    with pytest.raises(NumericalError):
+    with pytest.raises(NumericalError, match=r"\(segments=1\); split the exponent into more "
+                       r"segments or raise max_terms"):
         kern.apply(mat.data, v, segments=1, max_terms=5)
 
 

@@ -16,6 +16,7 @@ from dickeqb.model import (
     eta_matrix,
     hamiltonian_at,
     initial_state,
+    nested_commutators,
     static_hamiltonian,
 )
 from dickeqb.operators import build_boson, build_collective_spin, expectation, site_operator
@@ -184,6 +185,25 @@ class TestDrive:
         h_on = static_hamiltonian(p).to_dense()
         d = drive_operator(p).to_dense()
         assert np.abs(drive_commutator(p).to_dense() - (h_on @ d - d @ h_on)).max() < 1e-12
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(N=3, g=0.7, eta=-0.6, omegac=1.3, N_ph=3),
+            dict(N=3, g=0.4, coupling_mode="geometric", alpha_angle=0.4, R=1.2,
+                 omegac=0.8, N_ph=2, n_init=1),
+            dict(N=2, g=0.0, eta=0.5, omegac=1.7, N_ph=4),
+        ],
+    )
+    def test_nested_commutators_match_numerical(self, kwargs):
+        # the truncated [a, a'] = diag(1, ..., 1, -N_ph) enters both exactly
+        p = ModelParams(**kwargs)
+        h_on = static_hamiltonian(p).to_dense()
+        d = drive_operator(p).to_dense()
+        c = drive_commutator(p).to_dense()
+        with_static, with_drive = nested_commutators(p)
+        assert np.abs(with_static.to_dense() - (h_on @ c - c @ h_on)).max() < 1e-12
+        assert np.abs(with_drive.to_dense() - (d @ c - c @ d)).max() < 1e-12
 
 
 class TestSwitchedHamiltonian:
