@@ -3,9 +3,11 @@
 Subcommands: evolve, sweep, fit, phase-diagram, convergence.  Every run is
 driven by a flat JSON configuration file whose keys match the ModelParams /
 PropagationConfig field names; unknown keys are a hard error so parameter
-typos cannot silently fall back to defaults.  All outputs are plain CSV or
-JSON with fixed formatting (12 significant digits, '\n' line endings), so
-identical configurations produce byte-identical files.
+typos cannot silently fall back to defaults, and so is a value of the wrong
+type (a string, a bool, or null where the field takes no None).  All
+outputs are plain CSV or JSON with fixed formatting (12 significant digits,
+'\n' line endings), so identical configurations produce byte-identical
+files.
 
 Exit codes: 0 success, 2 configuration or usage error, 3 numerical failure.
 """
@@ -15,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
@@ -98,38 +101,48 @@ def _require_scalar(cfg: dict, key: str):
     return value
 
 
-INT_KEYS = ("N", "N_ph", "n_init", "sample_stride", "max_dim")
+INT_KEYS = ("N", "N_ph", "n_init", "sample_stride", "max_dim", "grid_cap", "delta_ph")
+TEXT_KEYS = ("coupling_mode", "method")
+NULLABLE_KEYS = ("N_ph", "n_init", "T")  # fields that take None
 
 
-def _coerce_int(key: str, value):
-    if value is None:
+def _number(key: str, value):
+    """A numeric config value, checked: finite, and an integer for INT_KEYS.
+
+    JSON true/false are rejected although Python counts them as integers.
+    """
+    if value is None and key in NULLABLE_KEYS:
         return None
-    if value != int(value):
-        raise ConfigError(f"key {key!r} must be an integer, got {value!r}")
-    return int(value)
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or isinstance(value, float) and not math.isfinite(value)):
+        raise ConfigError(f"key {key!r} must be a finite number, got {json.dumps(value)}")
+    if key in INT_KEYS:
+        if value != int(value):
+            raise ConfigError(f"key {key!r} must be an integer, got {value!r}")
+        return int(value)
+    return value
+
+
+def _numbers(kwargs: dict) -> dict:
+    # Sorted, so the key an error names does not depend on set iteration order.
+    return {k: v if k in TEXT_KEYS else _number(k, v) for k, v in sorted(kwargs.items())}
 
 
 def _model_params(cfg: dict, **overrides) -> ModelParams:
     kwargs = {k: _require_scalar(cfg, k) for k in MODEL_KEYS if k in cfg}
     kwargs.update(overrides)
-    for key in INT_KEYS:
-        if key in kwargs:
-            kwargs[key] = _coerce_int(key, kwargs[key])
     if "N" not in kwargs:
         raise ConfigError("config must set the atom count N")
     try:
-        return ModelParams(**kwargs)
+        return ModelParams(**_numbers(kwargs))
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def _prop_config(cfg: dict) -> PropagationConfig:
     kwargs = {k: _require_scalar(cfg, k) for k in PROP_KEYS if k in cfg}
-    for key in INT_KEYS:
-        if key in kwargs:
-            kwargs[key] = _coerce_int(key, kwargs[key])
     try:
-        return PropagationConfig(**kwargs)
+        return PropagationConfig(**_numbers(kwargs))
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -140,7 +153,7 @@ def _value_list(cfg: dict, key: str, default) -> list:
         raw = [raw]
     if not raw:
         raise ConfigError(f"key {key!r} must not be an empty list")
-    return sorted(raw)
+    return sorted(_number(key, v) for v in raw)
 
 
 def _out_dir(args) -> Path:
@@ -229,7 +242,7 @@ class SweepSpec:
         axes = {k: _value_list(cfg, k, [0.0]) for k in SWEEP_AXES}
         base = {k: v for k, v in cfg.items() if k not in SWEEP_AXES and k != "grid_cap"}
         return cls(base=base, prop=_prop_config(base),
-                   grid_cap=cfg.get("grid_cap", GRID_CAP_DEFAULT), **axes)
+                   grid_cap=_number("grid_cap", cfg.get("grid_cap", GRID_CAP_DEFAULT)), **axes)
 
     @property
     def size(self) -> int:
@@ -240,7 +253,7 @@ class SweepSpec:
         if self.size > self.grid_cap:
             raise ConfigError(f"grid size {self.size} exceeds cap {self.grid_cap}")
         for g, om, eta, n in product(self.g, self.Omega, self.eta, self.N):
-            yield _model_params(self.base, g=g, Omega=om, eta=eta, N=int(n))
+            yield _model_params(self.base, g=g, Omega=om, eta=eta, N=n)
 
 
 def cmd_sweep(args) -> int:
@@ -329,7 +342,7 @@ def cmd_phase_diagram(args) -> int:
     _check_keys(cfg, PHASE_KEYS, "phase-diagram")
     etas = _value_list(cfg, "eta", [0.0])
     gs = _value_list(cfg, "g", [0.0])
-    grid_cap = cfg.get("grid_cap", GRID_CAP_DEFAULT)
+    grid_cap = _number("grid_cap", cfg.get("grid_cap", GRID_CAP_DEFAULT))
     if len(etas) * len(gs) > grid_cap:
         raise ConfigError(f"grid size {len(etas) * len(gs)} exceeds cap {grid_cap}")
     base_cfg = {k: v for k, v in cfg.items() if k not in ("eta", "g", "grid_cap")}
@@ -355,7 +368,7 @@ def cmd_phase_diagram(args) -> int:
 def cmd_convergence(args) -> int:
     cfg = _load_config(args.config)
     _check_keys(cfg, (MODEL_KEYS - {"N_ph"}) | PROP_KEYS | {"delta_ph"}, "convergence")
-    delta_ph = int(cfg.get("delta_ph", 4))
+    delta_ph = _number("delta_ph", cfg.get("delta_ph", 4))
     base_cfg = {k: v for k, v in cfg.items() if k != "delta_ph"}
     params = _model_params(base_cfg)
     pcfg = _prop_config(base_cfg)

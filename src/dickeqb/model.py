@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -130,40 +131,78 @@ def eta_matrix(params: ModelParams) -> np.ndarray:
     return out
 
 
+class SpinTerms(NamedTuple):
+    """Real spin-space parts of the Hamiltonians, for one atom count N."""
+
+    jz: sp.csr_matrix
+    jx: sp.csr_matrix
+    # flip_flops[d - 1] = sum_{|i-j|=d} (s_i^- s_j^+ + s_j^- s_i^+), d = 1..
+    # min(COUPLING_CUTOFF, N-1): the couplings depend on |i-j| alone.
+    flip_flops: tuple
+
+
+def _frozen(mat) -> sp.csr_matrix:
+    out = sp.csr_matrix(mat.real, copy=True)
+    out.sum_duplicates()
+    for arr in (out.data, out.indices, out.indptr):
+        arr.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=16)
+def _spin_terms(n_atoms: int) -> SpinTerms:
+    """Spin-space J_z, J_x and flip-flop sums, built once per atom count.
+
+    The matrices are shared by every caller, so their arrays are read-only;
+    combine them only out of place.
+    """
+    sites = range(1, n_atoms + 1)
+    lower = {i: ops.site_operator(i, "-", n_atoms) for i in sites}
+    upper = {i: ops.site_operator(i, "+", n_atoms) for i in sites}
+
+    def collective(axis):
+        return 0.5 * sum(ops.site_operator(i, axis, n_atoms) for i in sites)
+
+    def flip_flop(d):
+        pairs = range(1, n_atoms + 1 - d)
+        return sum(lower[i] @ upper[i + d] + lower[i + d] @ upper[i] for i in pairs)
+
+    return SpinTerms(
+        jz=_frozen(collective("z")),
+        jx=_frozen(collective("x")),
+        flip_flops=tuple(
+            _frozen(flip_flop(d)) for d in range(1, min(COUPLING_CUTOFF, n_atoms - 1) + 1)
+        ),
+    )
+
+
 def build_H_battery(params: ModelParams) -> SparseOperator:
     """Battery Hamiltonian omega0 * J_z (tensored with the cavity identity)."""
-    return params.omega0 * ops.build_collective_spin("z", params.dims)
+    mat = ops.spin_to_joint(params.omega0 * _spin_terms(params.N).jz, params.dims)
+    return SparseOperator(params.dims, mat, hermitian=True)
 
 
 def build_H_static(params: ModelParams) -> SparseOperator:
     """Static part of the charger: cavity + collective coupling + flip-flops.
 
     omega_c a'a + 2g(a'+a)J_x + sum_{i<j} eta_ij (s_i^- s_j^+ + s_j^- s_i^+).
-    Each unordered atom pair contributes once, so <eg|H|ge> = eta_12.
+    Each unordered atom pair contributes once, so <eg|H|ge> = eta_12.  The
+    flip-flop part is sum_d eta_{1,1+d} F_d over the cached distance sums
+    F_d of ``_spin_terms``; the three terms have disjoint supports.
     """
     dims = params.dims
-    n = dims.n_atoms
+    terms = _spin_terms(dims.n_atoms)
     a = ops.boson_matrix("annihilate", dims.boson_dim)
     quad = a + a.conjugate().T
     number = (a.conjugate().T @ a).tocsr()
 
-    jx = 0.5 * sum(ops.site_operator(i, "x", n) for i in range(1, n + 1))
     mat = ops.boson_to_joint(params.omegac * number, dims)
-    mat = mat + 2.0 * params.g * sp.kron(jx, quad, format="csr")
-
-    couplings = eta_matrix(params)
-    flip_flop = sp.csr_matrix((dims.spin_dim, dims.spin_dim), dtype=complex)
-
-    @cache  # each (site, axis) operator is built once per call
-    def site(i, axis):
-        return ops.site_operator(i, axis, n)
-
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            e = couplings[i - 1, j - 1]
-            if e == 0.0:
-                continue
-            flip_flop = flip_flop + e * (site(i, "-") @ site(j, "+") + site(j, "-") @ site(i, "+"))
+    mat = mat + 2.0 * params.g * sp.kron(terms.jx, quad, format="csr")
+    flip_flop = sp.csr_matrix((dims.spin_dim, dims.spin_dim))
+    for d, f_d in enumerate(terms.flip_flops, start=1):
+        coupling = dipole_coupling(1, 1 + d, params)
+        if coupling != 0.0:
+            flip_flop = flip_flop + coupling * f_d
     if flip_flop.nnz:
         mat = mat + ops.spin_to_joint(flip_flop, dims)
     return SparseOperator(dims, mat, hermitian=True)
@@ -203,7 +242,7 @@ def nested_commutators(params: ModelParams) -> tuple[SparseOperator, SparseOpera
     a = ops.boson_matrix("annihilate", dims.boson_dim)
     quad = a + a.conjugate().T
     ladder = (a @ a.conjugate().T - a.conjugate().T @ a).tocsr()
-    jx = 0.5 * sum(ops.site_operator(i, "x", dims.n_atoms) for i in range(1, dims.n_atoms + 1))
+    jx = _spin_terms(dims.n_atoms).jx
     with_static = ops.boson_to_joint(params.omegac**2 * quad, dims)
     if params.g != 0.0:
         with_static = with_static + 4.0 * params.g * params.omegac * sp.kron(

@@ -3,7 +3,9 @@
 All battery observables derive from the diagonal operator J_z, so they are
 evaluated from cached diagonals in O(dim) per sample instead of sparse
 matvecs.  The ground-state solver for the (eta, g) phase diagram lives here
-as well.
+as well; it solves a Hamiltonian with all-real entries, as the model's are,
+in real symmetric arithmetic.  The model builds those Hamiltonians from
+spin-space terms it caches per atom count N.
 """
 
 from __future__ import annotations
@@ -116,21 +118,27 @@ def ground_state(H_static: SparseOperator, method: str = "auto") -> GroundStateR
 
     ``method``: "auto" uses ARPACK above DENSE_SOLVER_DIM with a dense
     fallback (dimensions up to 4096) on non-convergence; "lanczos" and
-    "dense" force one path.  The ARPACK start vector is fixed so repeated
-    runs are bitwise reproducible.
+    "dense" force one path.  A Hamiltonian whose entries are all real, as
+    every one the model builds is, is solved as a real symmetric matrix
+    with a real start vector; one with a nonzero imaginary part stays on
+    the complex Hermitian solve.  The ARPACK start vector is fixed so
+    repeated runs are bitwise reproducible.
     """
     if not H_static.hermitian:
         raise ContractError("ground_state requires a Hermitian operator")
     dims = H_static.dims
     n = dims.total_dim
+    mat = H_static.mat
+    if not mat.data.imag.any():
+        mat = mat.real.copy()  # contiguous; .real alone is a strided view
 
     use_dense = method == "dense" or (method == "auto" and n <= DENSE_SOLVER_DIM)
     vals = vecs = None
     if not use_dense:
-        v0 = np.full(n, 1.0 / np.sqrt(n), dtype=complex)
+        v0 = np.full(n, 1.0 / np.sqrt(n), dtype=mat.dtype)
         k = min(2, n - 1)
         try:
-            vals, vecs = spla.eigsh(H_static.mat, k=k, which="SA", v0=v0, maxiter=50 * n)
+            vals, vecs = spla.eigsh(mat, k=k, which="SA", v0=v0, maxiter=50 * n)
             order = np.argsort(vals)
             vals, vecs = vals[order], vecs[:, order]
         except (spla.ArpackNoConvergence, spla.ArpackError) as exc:
@@ -140,7 +148,7 @@ def ground_state(H_static: SparseOperator, method: str = "auto") -> GroundStateR
     if use_dense:
         if n > DENSE_FALLBACK_MAX_DIM:
             raise ResourceError(f"dense diagonalization capped at {DENSE_FALLBACK_MAX_DIM}, got {n}")
-        vals, vecs = _dense_lowest_pair(H_static.mat)
+        vals, vecs = _dense_lowest_pair(mat)
 
     energy = float(vals[0])
     vec = np.ascontiguousarray(vecs[:, 0])

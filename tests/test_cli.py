@@ -78,6 +78,19 @@ class TestEvolve:
         cfg = write_config(tmp_path, N=1, n_init=7, N_ph=3)
         assert cli.main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("bad", [
+        {"N": "abc"}, {"N": None}, {"N": True}, {"g": "x"}, {"t_max": "1"},
+        {"sample_stride": True}, {"dt": float("nan")}, {"omega0": None},
+    ])
+    def test_wrong_type_is_config_error(self, tmp_path, capsys, bad):
+        cfg = write_config(tmp_path, **{**EVOLVE_CFG, **bad})
+        assert cli.main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: key")
+
+    def test_null_where_field_allows_none(self, tmp_path):
+        cfg = write_config(tmp_path, **{**EVOLVE_CFG, "N_ph": None, "n_init": None, "T": None})
+        assert cli.main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 0
+
     def test_numerical_failure_maps_to_exit_3(self, tmp_path, monkeypatch):
         def boom(*args, **kwargs):
             raise NumericalError("synthetic failure")
@@ -111,6 +124,12 @@ class TestSweep:
         cfg = write_config(tmp_path, N=[1, 2], g=[0.1, 0.2], grid_cap=3,
                            t_max=0.2, dt=0.01)
         assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("bad", [{"N": [1, "a"]}, {"g": [0.1, False]}, {"grid_cap": "x"}])
+    def test_wrong_type_is_config_error(self, tmp_path, capsys, bad):
+        cfg = write_config(tmp_path, **{"N": [1, 2], "g": 0.1, "t_max": 0.2, "dt": 0.01, **bad})
+        assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: key")
 
     def test_missing_n(self, tmp_path):
         cfg = write_config(tmp_path, g=[0.1, 0.2])
@@ -221,6 +240,12 @@ class TestPhaseDiagram:
             if float(row["g"]) == 0.05:
                 assert float(row["magnetization"]) == pytest.approx(-1.0, abs=1e-2)
 
+    @pytest.mark.parametrize("bad", [{"eta": ["x"]}, {"grid_cap": None}, {"N_ph": "4"}])
+    def test_wrong_type_is_config_error(self, tmp_path, capsys, bad):
+        cfg = write_config(tmp_path, **{"N": 2, "eta": [0.0], "g": [0.1], **bad})
+        assert cli.main(["phase-diagram", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: key")
+
     def test_drive_keys_rejected(self, tmp_path):
         cfg = write_config(tmp_path, N=2, eta=[0.0], g=[0.1], Omega=1.0)
         assert cli.main(["phase-diagram", "--config", cfg, "--out", str(tmp_path)]) == 2
@@ -249,6 +274,11 @@ class TestConvergence:
     def test_nph_key_rejected(self, tmp_path):
         cfg = write_config(tmp_path, N=2, N_ph=8)
         assert cli.main(["convergence", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+    def test_wrong_type_is_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, N=2, delta_ph="4")
+        assert cli.main(["convergence", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: key")
 
     def test_strong_coupling_flags_failures(self, tmp_path):
         # a hard-driven strong-coupling run keeps weight at the cutoff, so

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from dickeqb.errors import DomainError
 from dickeqb.model import (
@@ -18,6 +19,7 @@ from dickeqb.model import (
     initial_state,
     nested_commutators,
     static_hamiltonian,
+    _spin_terms,
 )
 from dickeqb.operators import build_boson, build_collective_spin, expectation, site_operator
 
@@ -154,6 +156,61 @@ class TestChargerHamiltonian:
         a = build_boson("annihilate", p.dims).to_dense()
         ref = 1.0 * jz + 1.1 * (a.conj().T @ a) + 2 * 0.7 * (a.conj().T + a) @ jx
         assert np.abs(h - ref).max() < 1e-12
+
+
+def pair_loop_hamiltonians(params):
+    """Reference H_b and H_static: a loop over atom pairs of site operators."""
+    n, dims = params.N, params.dims
+    sites = range(1, n + 1)
+    eye_b = sp.identity(dims.boson_dim)
+    a = sp.diags(np.sqrt(np.arange(1.0, dims.boson_dim)), 1)
+    jz = 0.5 * sum(site_operator(i, "z", n) for i in sites)
+    jx = 0.5 * sum(site_operator(i, "x", n) for i in sites)
+    flip_flop = sp.csr_matrix((dims.spin_dim, dims.spin_dim))
+    for i in sites:
+        for j in range(i + 1, n + 1):
+            pair = (site_operator(i, "-", n) @ site_operator(j, "+", n)
+                    + site_operator(j, "-", n) @ site_operator(i, "+", n))
+            flip_flop = flip_flop + dipole_coupling(i, j, params) * pair
+    h_b = params.omega0 * sp.kron(jz, eye_b)
+    h_static = (sp.kron(sp.identity(dims.spin_dim), params.omegac * (a.T @ a))
+                + 2.0 * params.g * sp.kron(jx, a + a.T) + sp.kron(flip_flop, eye_b))
+    return h_b, h_static
+
+
+def max_deviation(op, ref):
+    diff = (op.mat - ref).tocsr()
+    return np.abs(diff.data).max() if diff.nnz else 0.0
+
+
+REFERENCE_CASES = [
+    dict(coupling_mode="direct", eta=0.7),
+    dict(coupling_mode="geometric", alpha_angle=0.4, R=0.9, Gamma0=1.2),
+]
+
+
+class TestAgainstPairLoop:
+    @pytest.mark.parametrize("n_atoms", range(1, 7))
+    @pytest.mark.parametrize("mode", REFERENCE_CASES, ids=["direct", "geometric"])
+    def test_matches_pair_loop(self, n_atoms, mode):
+        # N=6 has a pair at distance 5, beyond COUPLING_CUTOFF
+        p = ModelParams(N=n_atoms, g=0.4, omega0=1.3, omegac=0.9, N_ph=3, n_init=0, **mode)
+        h_b, h_static = pair_loop_hamiltonians(p)
+        assert max_deviation(build_H_battery(p), h_b) <= 1e-14
+        assert max_deviation(build_H_static(p), h_static) <= 1e-14
+
+    def test_cache_holds_no_parameters(self):
+        first = ModelParams(N=4, g=1.1, eta=-0.3, omega0=0.7, N_ph=2, n_init=0)
+        build_H_battery(first)
+        build_H_static(first)
+        p = ModelParams(N=4, g=0.2, omega0=1.4, N_ph=3, n_init=0, **REFERENCE_CASES[1])
+        h_b, h_static = pair_loop_hamiltonians(p)
+        assert max_deviation(build_H_battery(p), h_b) <= 1e-14
+        assert max_deviation(build_H_static(p), h_static) <= 1e-14
+
+    def test_cached_terms_are_read_only(self):
+        with pytest.raises(ValueError):
+            _spin_terms(3).flip_flops[0].data[0] = 2.0
 
 
 class TestDrive:

@@ -4,6 +4,7 @@ import pytest
 from dickeqb.errors import ContractError, NumericalError
 from dickeqb.model import ModelParams, initial_state, static_hamiltonian
 from dickeqb.observables import (
+    DENSE_SOLVER_DIM,
     GroundStateResult,
     charging_power,
     energy_fluctuation,
@@ -12,7 +13,7 @@ from dickeqb.observables import (
     magnetization,
     stored_energy,
 )
-from dickeqb.operators import HilbertDims, SparseOperator, StateVector
+from dickeqb.operators import HilbertDims, SparseOperator, StateVector, build_pauli
 
 
 def state_from_amps(dims, pairs):
@@ -124,6 +125,25 @@ class TestGroundState:
         b = ground_state(h, method="lanczos")
         assert a.energy == pytest.approx(b.energy, abs=1e-9)
         assert a.magnetization == pytest.approx(b.magnetization, abs=1e-8)
+
+    @pytest.mark.parametrize("method", ["auto", "dense"])
+    @pytest.mark.parametrize("imag", [0.0, 0.4], ids=["real", "complex"])
+    def test_matches_dense_eigh(self, method, imag):
+        # model Hamiltonians are real and take the real symmetric solve; a
+        # sigma^y term makes one complex Hermitian, which keeps the complex one
+        p = ModelParams(N=2, g=0.5, eta=0.3, N_ph=10)
+        h = static_hamiltonian(p)
+        if imag:
+            h = h + imag * build_pauli(1, "y", p.dims)
+        assert h.mat.data.imag.any() == bool(imag) and p.dims.total_dim > DENSE_SOLVER_DIM
+        res = ground_state(h, method=method)
+        vals, vecs = np.linalg.eigh(h.to_dense())
+        assert vals[1] - vals[0] > 1e-3  # non-degenerate point
+        assert res.state.amplitudes.dtype == np.complex128
+        assert res.energy == pytest.approx(vals[0], abs=1e-10)
+        assert res.magnetization == pytest.approx(
+            magnetization(StateVector(p.dims, vecs[:, 0])), abs=1e-8)
+        assert res.gap == pytest.approx(vals[1] - vals[0], abs=1e-9)
 
     def test_degenerate_flag(self):
         dims = HilbertDims(1, 1)
