@@ -20,8 +20,10 @@ without a drive or with the charger off, so such intervals take one step:
 Magnus-4 is exact for a static Hamiltonian.  dt therefore sets the sample
 spacing, not the step.
 
-The exponent lives in a data buffer on a fixed CSR pattern, applied by the
-CSR Taylor kernel.  The buffer holds -i h H_on and is built once per distinct
+The exponent lives in a data buffer on a fixed CSR pattern and is applied
+by the Taylor kernel ``CsrExpm`` defined here: the scaled Taylor apply of
+Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011) 488, on SciPy's CSR
+matvec.  The buffer holds -i h H_on and is built once per distinct
 (h, charger state); a driven step rewrites only the ~2 dim entries where a'+a
 and a'-a are nonzero.
 
@@ -40,8 +42,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from dickeqb import observables as obs
-from dickeqb._kernels import CsrExpm
-from dickeqb.errors import DomainError, IntegrationError, ResourceError
+from dickeqb.errors import DomainError, IntegrationError, NumericalError, ResourceError
 from dickeqb.model import (
     ModelParams,
     build_H_battery,
@@ -185,6 +186,57 @@ def _inf_norm(mat) -> float:
     return float(abs(mat).sum(axis=1).max()) if mat.nnz else 0.0
 
 
+class CsrExpm:
+    """Applies exp(M) @ v for CSR matrices on a fixed sparsity pattern.
+
+    The pattern (indptr/indices) is bound once; each call supplies a fresh
+    data array, so the propagator can swap Hamiltonian coefficients without
+    rebuilding matrices.  perfbench/spans.py wraps ``apply`` by replacing
+    this module global, so the stepper looks the class up when it is built.
+    """
+
+    def __init__(self, indptr, indices, dim: int):
+        self.indptr = np.ascontiguousarray(indptr, dtype=np.int32)
+        self.indices = np.ascontiguousarray(indices, dtype=np.int32)
+        self._mat = sp.csr_matrix(
+            (np.zeros(len(self.indices), dtype=np.complex128), self.indices, self.indptr),
+            shape=(dim, dim),
+        )
+
+    def apply(self, data, v, segments: int = 1, tol: float = 1e-12,
+              max_terms: int = 64) -> np.ndarray:
+        """exp(M) @ v with M given by ``data`` on the bound pattern.
+
+        exp(M) is applied as ``segments`` factors exp(M / segments), each a
+        Taylor series that stops when the squared norm of its last term is at
+        most tol^2 times the squared norm of the running result.  Neither
+        ``v`` nor ``data`` is written: the first term's sum allocates the
+        result.
+        """
+        mat = self._mat
+        mat.data = np.ascontiguousarray(data, dtype=np.complex128)
+        out = np.ascontiguousarray(v, dtype=np.complex128)
+        tol_sq = tol * tol
+        for _ in range(segments):
+            term = out
+            for m in range(1, max_terms + 1):
+                term = mat.dot(term)
+                term *= 1.0 / (segments * m)
+                if m == 1:
+                    out = out + term
+                else:
+                    out += term
+                if np.vdot(term, term).real <= tol_sq * np.vdot(out, out).real:
+                    break
+            else:
+                raise NumericalError(
+                    f"exponential Taylor series did not converge within {max_terms} terms "
+                    f"(segments={segments}); split the exponent into more segments "
+                    "or raise max_terms"
+                )
+        return out
+
+
 class _Stepper:
     """Gauss-Magnus 4th-order stepping machinery bound to one parameter set.
 
@@ -198,7 +250,7 @@ class _Stepper:
     the local error estimate of ``local_error``.
     """
 
-    def __init__(self, params: ModelParams, backend: str | None = None):
+    def __init__(self, params: ModelParams):
         self.params = params
         dim = params.dims.total_dim
         h_batt = build_H_battery(params).mat
@@ -218,7 +270,7 @@ class _Stepper:
         self.norm_off = _inf_norm(h_batt)
         self.norm_drive = _inf_norm(drive)
         self.norm_comm = _inf_norm(commutator)
-        self.kernel = CsrExpm(indptr, indices, dim, backend=backend)
+        self.kernel = CsrExpm(indptr, indices, dim)
         # Operators of the local error estimate; H_on shares the kernel's arrays.
         self.h_on = sp.csr_matrix(
             (self.data_on, self.kernel.indices, self.kernel.indptr), shape=(dim, dim)
@@ -332,16 +384,15 @@ class _Stepper:
 
 
 @lru_cache(maxsize=4)
-def _shared_stepper(params: ModelParams, backend: str | None) -> _Stepper:
-    return _Stepper(params, backend=backend)
+def _shared_stepper(params: ModelParams) -> _Stepper:
+    return _Stepper(params)
 
 
-def step_magnus4(state: StateVector, t: float, dt: float, params: ModelParams,
-                 backend: str | None = None) -> StateVector:
+def step_magnus4(state: StateVector, t: float, dt: float, params: ModelParams) -> StateVector:
     """One 4th-order Gauss-Magnus step (a single exponential) of the switched Hamiltonian."""
     if dt <= 0:
         raise DomainError(f"dt must be positive, got {dt}")
-    stepper = _shared_stepper(params, backend)
+    stepper = _shared_stepper(params)
     amps = state.amplitudes
     for a, b, on in _charging_segments(t, t + dt, params.T):
         amps = stepper.step(amps, a, b - a, on)
@@ -450,8 +501,7 @@ def _check_dim(params: ModelParams, cap: int) -> None:
         raise ResourceError(f"total dimension {dim} exceeds the configured bound {cap}")
 
 
-def propagate(params: ModelParams, cfg: PropagationConfig | None = None,
-              backend: str | None = None) -> Trajectory:
+def propagate(params: ModelParams, cfg: PropagationConfig | None = None) -> Trajectory:
     """Evolve the initial product state over [0, t_max] and sample observables.
 
     Records at every ``sample_stride``-th point of the dt grid plus the
@@ -463,7 +513,7 @@ def propagate(params: ModelParams, cfg: PropagationConfig | None = None,
     if cfg.method == "oracle_expm":
         return oracle_propagate(params, cfg)
     _check_dim(params, cfg.max_dim)
-    stepper = _Stepper(params, backend=backend)
+    stepper = _Stepper(params)
     amps = initial_state(params).amplitudes
     recorder = _Recorder(params, StateVector(params.dims, amps))
     recorder.record(0.0, amps)

@@ -18,7 +18,12 @@ class NumericalError(SimulationError):
 
 
 class IntegrationError(NumericalError):
-    """Propagation lost unitarity beyond the allowed drift; dt is likely too large."""
+    """Propagation lost unitarity beyond the allowed drift.
+
+    The drift comes from the Taylor kernel's truncation and grows with ||H||
+    and the run length, not with dt, which sets only the sample spacing:
+    lower the photon cutoff N_ph or shorten t_max.
+    """
 
 
 class ResourceError(SimulationError):

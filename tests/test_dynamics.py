@@ -86,9 +86,12 @@ class TestStepMagnus4:
         exponent = (-1j * dt * (h_on + 0.5 * (c_a + c_b) * d)
                     + np.sqrt(3) / 12 * dt**2 * (c_b - c_a) * (h_on @ d - d @ h_on))
         psi0 = initial_state(p)
+        amps0 = psi0.amplitudes.copy()
         want = scipy.linalg.expm(exponent) @ psi0.amplitudes
         got = step_magnus4(psi0, t, dt, p)
         assert np.abs(got.amplitudes - want).max() < 1e-12
+        # The input state is left as it was.
+        assert np.array_equal(psi0.amplitudes, amps0)
 
     def test_step_off_window_uses_battery_only(self):
         p = ModelParams(N=1, g=0.9, Omega=1.0, N_ph=2, n_init=1, T=1.0)
@@ -392,21 +395,6 @@ class TestSampleToSample:
         assert max(counts) > 1
         assert deviation <= 20 * MAGNUS_TOL * cfg.t_max
         assert traj.step_error >= deviation
-
-
-class TestStepperBackends:
-    def test_backends_agree_on_trajectory(self):
-        from dickeqb._kernels import HAVE_COMPILED
-
-        if not HAVE_COMPILED:
-            pytest.skip("compiled kernel not built")
-        p = ModelParams(N=2, g=0.9, Omega=0.7, eta=0.5, N_ph=5)
-        cfg = PropagationConfig(t_max=1.0, dt=5e-3, sample_stride=20)
-        t_c = propagate(p, cfg, backend="compiled")
-        t_f = propagate(p, cfg, backend="fallback")
-        assert np.abs(t_c.E_b - t_f.E_b).max() < 1e-12
-        diff = np.abs(t_c.final_state.amplitudes - t_f.final_state.amplitudes).max()
-        assert diff < 1e-12
 
 
 class TestTrajectoryCsv:
