@@ -38,6 +38,8 @@ from dickeqb.model import ModelParams, static_hamiltonian
 MODEL_KEYS = {f.name for f in fields(ModelParams)}
 PROP_KEYS = {f.name for f in fields(PropagationConfig)}
 SWEEP_AXES = ("g", "Omega", "eta", "N")
+# Sweep columns that name a cell: fit takes the N series of one cell.
+FIT_CELL_KEYS = ("g", "Omega", "eta")
 GRID_CAP_DEFAULT = 10_000
 PHASE_KEYS = (MODEL_KEYS - {"Omega", "omegad", "T", "n_init"}) | {"grid_cap"}
 
@@ -283,15 +285,33 @@ def cmd_fit(args) -> int:
             reader = csv.DictReader(fh)
             if reader.fieldnames is None or not {"N", series} <= set(reader.fieldnames):
                 raise ConfigError(f"{args.csv} must contain columns N and {series}")
-            rows = [(float(r["N"]), float(r[series])) for r in reader]
+            cell_keys = [k for k in FIT_CELL_KEYS if k in reader.fieldnames]
+            rows = [
+                (float(r["N"]), float(r[series]), tuple(float(r[k]) for k in cell_keys))
+                for r in reader
+            ]
     except OSError as exc:
         raise ConfigError(f"cannot read {args.csv}: {exc}") from exc
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"non-numeric N/{series} entry in {args.csv}: {exc}") from exc
-    if len(rows) < 3:
-        raise ConfigError(f"fit needs at least 3 rows, got {len(rows)}")
+        raise ConfigError(f"non-numeric entry in {args.csv}: {exc}") from exc
+    cells = sorted({r[2] for r in rows})
+    if len(cells) > 1:
+        names = "; ".join(
+            " ".join(f"{k}={v:g}" for k, v in zip(cell_keys, cell)) for cell in cells
+        )
+        raise ConfigError(
+            f"{args.csv} holds {len(cells)} cells ({names}); fit one cell at a time"
+        )
     n_list = [r[0] for r in rows]
     y_list = [r[1] for r in rows]
+    repeated = sorted({n for n in n_list if n_list.count(n) > 1})
+    if repeated:
+        raise ConfigError(
+            f"N repeats in {args.csv} ({', '.join(f'{n:g}' for n in repeated)}); "
+            "fit needs one row per N"
+        )
+    if len(rows) < 3:
+        raise ConfigError(f"fit needs at least 3 rows, got {len(rows)}")
     meta = {"source": str(args.csv), "series": series, "mode": args.mode}
     if args.mode == "power":
         fit = analysis.fit_power_law(n_list, y_list)

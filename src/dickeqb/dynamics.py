@@ -27,9 +27,19 @@ matvec.  The buffer holds -i h H_on and is built once per distinct
 (h, charger state); a driven step rewrites only the ~2 dim entries where a'+a
 and a'-a are nonzero.
 
+``propagate`` steps in the reflection-even sector.  The initial state
+|g...g> x |n_init> and every term of the Hamiltonian are unchanged by the
+site reflection i -> N+1-i (the dipole couplings depend on |i-j| alone), so
+the state never leaves the span of P = V x I_b, V the spin isometry of
+``model.reflection_isometry``.  The stepper works on the projections P' M P
+of its operators, about half the dimension and kernel nonzeros of the full
+space at N >= 5, with the same step plan; each sample is lifted back to the
+full joint basis before the observables are taken.  ``step_magnus4`` acts on
+the full space, so it stays exact on any state.
+
 An independent brute-force oracle (dense piecewise-constant exponential on a
-20x finer dt grid) shares nothing with that code path beyond the sample
-times and is used to cross-validate trajectories.
+20x finer dt grid, in the full space) shares nothing with that code path
+beyond the sample times and is used to cross-validate trajectories.
 """
 
 from __future__ import annotations
@@ -52,6 +62,7 @@ from dickeqb.model import (
     drive_operator,
     initial_state,
     nested_commutators,
+    reflection_isometry,
 )
 from dickeqb.operators import StateVector
 
@@ -248,15 +259,27 @@ class _Stepper:
     omega_c (a' - a).  The drive and commutator data are stored on those
     positions only.  ``advance`` picks the step count of an interval from
     the local error estimate of ``local_error``.
+
+    With an isometry ``basis`` (a real joint-space matrix P with P'P = I)
+    every operator is projected once to P' M P and the stepper acts on
+    coordinates in the range of P; that is exact for states in the range
+    when it is invariant under every operator.  Without one it acts on the
+    full joint space.
     """
 
-    def __init__(self, params: ModelParams):
+    def __init__(self, params: ModelParams, basis=None):
         self.params = params
-        dim = params.dims.total_dim
-        h_batt = build_H_battery(params).mat
-        a_on = (h_batt + build_H_static(params).mat).tocsr()
-        drive = drive_operator(params).mat
-        commutator = drive_commutator(params).mat
+        basis_t = None if basis is None else basis.T.tocsr()
+
+        def project(mat):
+            return mat if basis is None else basis_t @ mat @ basis
+
+        h_full = build_H_battery(params).mat
+        a_on = project(h_full + build_H_static(params).mat)
+        h_batt = project(h_full)
+        drive = project(drive_operator(params).mat)
+        commutator = project(drive_commutator(params).mat)
+        dim = a_on.shape[0]
         indptr, indices = _union_pattern([a_on, drive, h_batt])
         keys = _row_major_keys(indptr, indices, dim)
         self.data_on = _data_on_pattern(keys, dim, a_on)
@@ -277,8 +300,8 @@ class _Stepper:
         )
         self.drive, self.comm = drive, commutator
         with_static, with_drive = nested_commutators(params)
-        self.comm_static = with_static.mat
-        self.comm_drive = with_drive.mat.diagonal()
+        self.comm_static = project(with_static.mat)
+        self.comm_drive = project(with_drive.mat).diagonal()
         self.has_drive = params.Omega != 0.0
         self._buffers = {}  # (h, on) -> buffer whose static part was built for it
         self._buffer = None
@@ -383,13 +406,48 @@ class _Stepper:
         return amps, n, n * error
 
 
+class _Sector:
+    """The reflection-even sector of the joint space, spanned by P = V x I_b.
+
+    V is the spin isometry of ``reflection_isometry``.  Sector coordinate
+    c * boson_dim + n lifts to weight * x on the joint indices of the
+    representative s and its mirror R s (one index for a palindrome), so a
+    sample is lifted by scatter, without a matvec.
+    """
+
+    def __init__(self, params: ModelParams):
+        iso = reflection_isometry(params.N).tocsc()
+        boson_dim = params.dims.boson_dim
+        self.basis = sp.kron(iso, sp.identity(boson_dim), format="csr")
+        photons = np.arange(boson_dim)
+        first, last = iso.indptr[:-1], iso.indptr[1:] - 1
+        self.reps = (iso.indices[first, None] * boson_dim + photons).ravel()
+        self.mirrors = (iso.indices[last, None] * boson_dim + photons).ravel()
+        self.weights = np.repeat(iso.data[first], boson_dim)
+
+    def restrict(self, amps: np.ndarray) -> np.ndarray:
+        """P' amps."""
+        return (amps[self.reps] + amps[self.mirrors]) * (0.5 / self.weights)
+
+    def lift(self, amps: np.ndarray) -> np.ndarray:
+        """P amps, a vector on the full joint basis."""
+        out = np.zeros(self.basis.shape[0], dtype=np.complex128)
+        scaled = self.weights * amps
+        out[self.reps] = scaled
+        out[self.mirrors] = scaled
+        return out
+
+
 @lru_cache(maxsize=4)
 def _shared_stepper(params: ModelParams) -> _Stepper:
     return _Stepper(params)
 
 
 def step_magnus4(state: StateVector, t: float, dt: float, params: ModelParams) -> StateVector:
-    """One 4th-order Gauss-Magnus step (a single exponential) of the switched Hamiltonian."""
+    """One 4th-order Gauss-Magnus step (a single exponential) of the switched Hamiltonian.
+
+    Acts on the full joint space, so it is exact on any state, reflection-even or not.
+    """
     if dt <= 0:
         raise DomainError(f"dt must be positive, got {dt}")
     stepper = _shared_stepper(params)
@@ -506,24 +564,29 @@ def propagate(params: ModelParams, cfg: PropagationConfig | None = None) -> Traj
 
     Records at every ``sample_stride``-th point of the dt grid plus the
     initial and final times.  The magnus4 path steps from sample to sample,
-    each interval in the fewest equal steps that meet MAGNUS_TOL.  Raises
+    each interval in the fewest equal steps that meet MAGNUS_TOL, in the
+    reflection-even sector: the initial state and the Hamiltonian are
+    unchanged by the site reflection, so the state stays there.  Samples and
+    the final state are lifted to the full joint basis.  Raises
     IntegrationError when the state norm drifts beyond 1e-6.
     """
     cfg = cfg or PropagationConfig()
     if cfg.method == "oracle_expm":
         return oracle_propagate(params, cfg)
     _check_dim(params, cfg.max_dim)
-    stepper = _Stepper(params)
-    amps = initial_state(params).amplitudes
-    recorder = _Recorder(params, StateVector(params.dims, amps))
-    recorder.record(0.0, amps)
+    sector = _Sector(params)
+    stepper = _Stepper(params, sector.basis)
+    state0 = initial_state(params)
+    amps = sector.restrict(state0.amplitudes)
+    recorder = _Recorder(params, state0)
+    recorder.record(0.0, sector.lift(amps))
     steps, step_error = 0, 0.0
     for t1, pieces in _sample_intervals(cfg, params.T):
         for a, length, on in pieces:
             amps, n, error = stepper.advance(amps, a, length, on)
             steps += n
             step_error += error
-        recorder.record(t1, amps)
+        recorder.record(t1, sector.lift(amps))
     return recorder.build(steps=steps, step_error=step_error)
 
 

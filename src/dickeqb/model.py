@@ -176,6 +176,36 @@ def _spin_terms(n_atoms: int) -> SpinTerms:
     )
 
 
+@lru_cache(maxsize=16)
+def reflection_isometry(n_atoms: int) -> sp.csr_matrix:
+    """Real isometry V onto the spin states even under the site reflection.
+
+    The reflection i -> N+1-i maps the spin index s to R s, s with its N
+    big-endian site bits reversed.  Column c of V is |s> for a palindrome
+    s = R s, or (|s> + |R s>)/sqrt(2) for a pair s < R s, with the columns
+    ordered by that representative s; so |g...g> is column 0.  V is
+    2^N x (2^N + 2^ceil(N/2))/2, V'V = I and VV' = (I + R)/2.  Every caller
+    shares the matrix, so its arrays are read-only.
+    """
+    states = np.arange(2**n_atoms)
+    mirrors = np.zeros_like(states)
+    for k in range(n_atoms):
+        mirrors |= ((states >> k) & 1) << (n_atoms - 1 - k)
+    reps = states[states <= mirrors]
+    partners = mirrors[reps]
+    paired = reps != partners
+    weights = np.where(paired, math.sqrt(0.5), 1.0)
+    columns = np.arange(len(reps))
+    mat = sp.csr_matrix(
+        (
+            np.concatenate([weights, weights[paired]]),
+            (np.concatenate([reps, partners[paired]]), np.concatenate([columns, columns[paired]])),
+        ),
+        shape=(len(states), len(reps)),
+    )
+    return _frozen(mat)
+
+
 def build_H_battery(params: ModelParams) -> SparseOperator:
     """Battery Hamiltonian omega0 * J_z (tensored with the cavity identity)."""
     mat = ops.spin_to_joint(params.omega0 * _spin_terms(params.N).jz, params.dims)

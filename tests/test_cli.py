@@ -215,6 +215,24 @@ class TestFit:
         path.write_text("N,foo\n1,1\n2,2\n3,3\n")
         assert cli.main(["fit", str(path), "--mode", "power", "--out", str(tmp_path)]) == 2
 
+    def test_several_cells_rejected(self, tmp_path, capsys):
+        path = tmp_path / "sweep.csv"
+        lines = ["g,Omega,eta,N,E_max,P_max,t_star_E,t_star_P"]
+        for g in (0.1, 2):
+            lines += [f"{g},1,0.8,{n},{0.9 * n},{g * n**1.5},1,1" for n in (1, 2, 3)]
+        path.write_text("\n".join(lines) + "\n")
+        assert cli.main(["fit", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "g=0.1 Omega=1 eta=0.8" in err and "g=2 Omega=1 eta=0.8" in err
+        assert not (tmp_path / "fit.json").exists()
+
+    def test_repeated_n_rejected(self, tmp_path, capsys):
+        path = tmp_path / "sweep.csv"
+        path.write_text("N,P_max\n1,1.0\n2,2.8\n2,2.9\n3,5.2\n")
+        assert cli.main(["fit", str(path), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: N repeats")
+
 
 class TestPhaseDiagram:
     def test_single_point_matches_ground_state(self, tmp_path):

@@ -240,6 +240,68 @@ class TestPropagate:
         assert empty.edge_population == 0.0
 
 
+def _full_space_run(p, cfg):
+    """propagate's step plan replayed by a full-space stepper."""
+    stepper = _Stepper(p)
+    state0 = initial_state(p)
+    amps = state0.amplitudes
+    recorder = _Recorder(p, state0)
+    recorder.record(0.0, amps)
+    steps = 0
+    for t1, pieces in _sample_intervals(cfg, p.T):
+        for a, length, on in pieces:
+            amps, n, _ = stepper.advance(amps, a, length, on)
+            steps += n
+        recorder.record(t1, amps)
+    return recorder.build(steps=steps)
+
+
+class TestReflectionSector:
+    @pytest.mark.parametrize(
+        "mode",
+        [dict(eta=0.8), dict(coupling_mode="geometric", alpha_angle=0.4)],
+        ids=["direct", "geometric"],
+    )
+    def test_matches_full_space_replay(self, mode):
+        # T = 0.55 splits a sample interval
+        p = ModelParams(N=5, N_ph=6, g=0.5, Omega=1.0, omegac=1.2, T=0.55, **mode)
+        cfg = PropagationConfig(t_max=1.0, dt=0.01, sample_stride=10)
+        got = propagate(p, cfg)
+        want = _full_space_run(p, cfg)
+        assert got.steps == want.steps > len(got.times) - 1
+        for name in ("E_b", "dE_b", "Jz_mean"):
+            assert np.abs(getattr(got, name) - getattr(want, name)).max() <= 1e-12, name
+        assert abs(got.edge_population - want.edge_population) <= 1e-12
+        assert np.abs(got.final_state.amplitudes - want.final_state.amplitudes).max() <= 1e-12
+
+    def test_matches_oracle_on_geometric_chain(self):
+        # a 4-site chain has couplings at every distance 1..3
+        p = ModelParams(N=4, N_ph=2, n_init=2, g=0.5, Omega=1.0,
+                        coupling_mode="geometric", alpha_angle=0.4)
+        cfg = PropagationConfig(t_max=0.2, dt=1e-3, sample_stride=20)
+        t_m = propagate(p, cfg)
+        t_o = oracle_propagate(p, cfg)
+        assert np.array_equal(t_m.times, t_o.times)
+        assert np.abs(t_m.E_b - t_o.E_b).max() < 1e-8
+        overlap = np.vdot(t_m.final_state.amplitudes, t_o.final_state.amplitudes)
+        assert 1.0 - abs(overlap) ** 2 < 1e-10
+
+    def test_kernel_acts_on_the_sector(self, monkeypatch):
+        steppers = []
+
+        class Recording(_Stepper):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                steppers.append(self)
+
+        monkeypatch.setattr(dynamics, "_Stepper", Recording)
+        p = ModelParams(N=3, g=0.5, Omega=1.0, eta=0.8, N_ph=4)
+        traj = propagate(p, PropagationConfig(t_max=0.2, dt=0.01, sample_stride=10))
+        # (2^3 + 2^2) / 2 = 6 even spin states, each with 5 photon levels
+        assert steppers[0].kernel._mat.shape == (6 * 5, 6 * 5)
+        assert traj.final_state.amplitudes.shape == (p.dims.total_dim,)
+
+
 class TestStepperBuffer:
     @pytest.mark.parametrize("T", [0.23, 0.2])
     def test_reuse_matches_fresh_steppers(self, T):

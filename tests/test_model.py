@@ -18,6 +18,7 @@ from dickeqb.model import (
     hamiltonian_at,
     initial_state,
     nested_commutators,
+    reflection_isometry,
     static_hamiltonian,
     _spin_terms,
 )
@@ -211,6 +212,46 @@ class TestAgainstPairLoop:
     def test_cached_terms_are_read_only(self):
         with pytest.raises(ValueError):
             _spin_terms(3).flip_flops[0].data[0] = 2.0
+
+
+
+def site_reflection(n_atoms):
+    """Permutation matrix of the site reflection i -> N+1-i on the spin basis."""
+    dim = 2**n_atoms
+    mirrors = [int(format(s, f"0{n_atoms}b")[::-1], 2) for s in range(dim)]
+    return sp.csr_matrix((np.ones(dim), (mirrors, range(dim))), shape=(dim, dim))
+
+
+class TestSiteReflection:
+    @pytest.mark.parametrize("n_atoms", range(1, 8))
+    @pytest.mark.parametrize("mode", REFERENCE_CASES, ids=["direct", "geometric"])
+    def test_stepper_operators_commute(self, n_atoms, mode):
+        # every operator the magnus4 stepper projects onto the even sector
+        p = ModelParams(N=n_atoms, g=0.4, omega0=1.3, omegac=0.9, N_ph=3, n_init=0, **mode)
+        r = sp.kron(site_reflection(n_atoms), sp.identity(p.dims.boson_dim), format="csr")
+        operators = (build_H_battery(p), build_H_static(p), drive_operator(p),
+                     drive_commutator(p), *nested_commutators(p))
+        for op in operators:
+            defect = r @ op.mat - op.mat @ r
+            assert (abs(defect).max() if defect.nnz else 0.0) <= 1e-14
+
+    @pytest.mark.parametrize("n_atoms", range(1, 8))
+    def test_isometry_onto_even_sector(self, n_atoms):
+        v = reflection_isometry(n_atoms)
+        dim = 2**n_atoms
+        assert v.shape == (dim, (dim + 2 ** math.ceil(n_atoms / 2)) // 2)
+        assert abs(v.T @ v - sp.identity(v.shape[1])).max() <= 1e-15
+        even = 0.5 * (sp.identity(dim) + site_reflection(n_atoms))
+        assert abs(v @ v.T - even).max() <= 1e-15
+        # columns ordered by representative: |g...g> is column 0
+        dense = v.toarray()
+        assert dense[0, 0] == 1.0
+        reps = [int(np.flatnonzero(col)[0]) for col in dense.T]
+        assert reps == sorted(reps)
+
+    def test_isometry_is_read_only(self):
+        with pytest.raises(ValueError):
+            reflection_isometry(3).data[0] = 2.0
 
 
 class TestDrive:
