@@ -109,15 +109,16 @@ def convergence_check(params: ModelParams, delta_ph: int,
                       cfg: PropagationConfig | None = None) -> float:
     """Photon-truncation audit: rerun with N_ph + delta_ph on the same grid.
 
-    Returns the worst absolute deviation across the E_b, P_b and dE_b series.
+    Both cutoffs share the drive, so they are propagated as one two-block
+    batch.  Returns the worst absolute deviation across the E_b, P_b and
+    dE_b series.
     """
     if delta_ph < 1:
         raise DomainError(f"delta_ph must be >= 1, got {delta_ph}")
     cfg = cfg or PropagationConfig()
     base = replace(params, N_ph=params.photon_cutoff)
     wider = replace(params, N_ph=params.photon_cutoff + delta_ph)
-    traj_a = propagate(base, cfg)
-    traj_b = propagate(wider, cfg)
+    traj_a, traj_b = propagate([base, wider], cfg)
     worst = 0.0
     for name in ("E_b", "P_b", "dE_b"):
         dev = np.abs(getattr(traj_a, name) - getattr(traj_b, name)).max()

@@ -201,27 +201,36 @@ def cmd_evolve(args) -> int:
     return 0
 
 
-def _sweep_point(task):
-    params, pcfg = task
-    traj = propagate(params, pcfg)
-    s = _summarize(traj)
-    row = (
-        params.g,
-        params.Omega,
-        params.eta,
-        params.N,
-        s["E_max"],
-        s["P_max"],
-        s["t_star_E"],
-        s["t_star_P"],
-    )
-    return row, traj.edge_population
+def _sweep_cell(task):
+    """Rows and edge populations of one (g, Omega, eta) cell, its N values
+    propagated as one batch."""
+    batch, pcfg = task
+    out = []
+    for params, traj in zip(batch, propagate(batch, pcfg)):
+        s = _summarize(traj)
+        row = (
+            params.g,
+            params.Omega,
+            params.eta,
+            params.N,
+            s["E_max"],
+            s["P_max"],
+            s["t_star_E"],
+            s["t_star_P"],
+        )
+        out.append((row, traj.edge_population))
+    return out
 
 
 def _run_pool(worker, tasks, jobs: int):
-    if jobs <= 1:
+    """worker over tasks, in order, on at most ``jobs`` processes and never
+    more processes than tasks."""
+    if jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {jobs}")
+    workers = min(jobs, len(tasks))
+    if workers <= 1:
         return [worker(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, tasks))
 
 
@@ -262,8 +271,12 @@ def cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
     _check_keys(cfg, MODEL_KEYS | PROP_KEYS | {"grid_cap"}, "sweep")
     spec = SweepSpec.from_config(cfg)
-    tasks = [(params, spec.prop) for params in spec.points()]
-    results = _run_pool(_sweep_point, tasks, args.jobs)
+    points = list(spec.points())
+    # N is the innermost axis, so each cell's points are consecutive; the
+    # cells, not --jobs, decide which points are propagated together.
+    cells = [points[i:i + len(spec.N)] for i in range(0, len(points), len(spec.N))]
+    tasks = [(cell, spec.prop) for cell in cells]
+    results = [point for cell in _run_pool(_sweep_cell, tasks, args.jobs) for point in cell]
     rows = [row for row, _ in results]
     out = _out_dir(args)
     _write_csv(
@@ -273,7 +286,7 @@ def cmd_sweep(args) -> int:
     )
     print(f"wrote {out / 'sweep.csv'} ({len(rows)} grid points)")
     # Printed here, in grid order, so the worker count cannot reorder them.
-    for (params, _), (_, edge_population) in zip(tasks, results):
+    for params, (_, edge_population) in zip(points, results):
         _warn_edge_population(params, edge_population)
     return 0
 

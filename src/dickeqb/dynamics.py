@@ -37,6 +37,19 @@ space at N >= 5, with the same step plan; each sample is lifted back to the
 full joint basis before the observables are taken.  ``step_magnus4`` acts on
 the full space, so it stays exact on any state.
 
+``propagate`` also takes a batch: parameter sets that share the time
+dependence (Omega, omegad and T), such as the N = 1..6 points of a sweep
+cell.  Their sector operators are stacked block-diagonally, so the batch
+steps as one system: one exponent buffer, one drive coefficient c(t) and
+one sequence of kernel calls per interval.  The tolerances hold per block.
+An interval takes the largest step count any block needs, since its error
+estimate is the largest of the per-block ||(Omega6 - Omega4) psi_k||, and
+the Taylor series stops only when every block has converged against its own
+norm.  A block's trajectory can therefore differ from a solo run of the same
+point at the MAGNUS_TOL level, as its steps are shorter where another block
+needs them.  A single parameter set is a batch of one, with the arithmetic
+of a solo run.
+
 An independent brute-force oracle (dense piecewise-constant exponential on a
 20x finer dt grid, in the full space) shares nothing with that code path
 beyond the sample times and is used to cross-validate trajectories.
@@ -52,7 +65,13 @@ import numpy as np
 import scipy.sparse as sp
 
 from dickeqb import observables as obs
-from dickeqb.errors import DomainError, IntegrationError, NumericalError, ResourceError
+from dickeqb.errors import (
+    ContractError,
+    DomainError,
+    IntegrationError,
+    NumericalError,
+    ResourceError,
+)
 from dickeqb.model import (
     ModelParams,
     build_H_battery,
@@ -136,9 +155,10 @@ class Trajectory:
     # Largest population of the top Fock level |N_ph> over the samples: how
     # much weight the photon cutoff holds.
     edge_population: float = 0.0
-    # magnus4 runs: exponentials taken, and the sum of their accepted local
-    # error estimates.  The propagator is unitary, so the global error is at
-    # most the sum of the true local errors, which the estimates track.
+    # magnus4 runs: exponentials taken (in a batch, the count all its runs
+    # share), and the sum of this run's accepted local error estimates.  The
+    # propagator is unitary, so the global error is at most the sum of the
+    # true local errors, which the estimates track.
     steps: int = 0
     step_error: float = 0.0
 
@@ -215,19 +235,22 @@ class CsrExpm:
         )
 
     def apply(self, data, v, segments: int = 1, tol: float = 1e-12,
-              max_terms: int = 64) -> np.ndarray:
+              max_terms: int = 64, blocks=None) -> np.ndarray:
         """exp(M) @ v with M given by ``data`` on the bound pattern.
 
         exp(M) is applied as ``segments`` factors exp(M / segments), each a
         Taylor series that stops when the squared norm of its last term is at
-        most tol^2 times the squared norm of the running result.  Neither
-        ``v`` nor ``data`` is written: the first term's sum allocates the
-        result.
+        most tol^2 times the squared norm of the running result.  For a
+        block-diagonal M, ``blocks`` (slices of v) applies that test to every
+        block against its own norm, and the series stops once all pass;
+        None treats v as one block.  Neither ``v`` nor ``data`` is written:
+        the first term's sum allocates the result.
         """
         mat = self._mat
         mat.data = np.ascontiguousarray(data, dtype=np.complex128)
         out = np.ascontiguousarray(v, dtype=np.complex128)
         tol_sq = tol * tol
+        blocks = (slice(None),) if blocks is None else blocks
         for _ in range(segments):
             term = out
             for m in range(1, max_terms + 1):
@@ -237,7 +260,8 @@ class CsrExpm:
                     out = out + term
                 else:
                     out += term
-                if np.vdot(term, term).real <= tol_sq * np.vdot(out, out).real:
+                if all(np.vdot(term[b], term[b]).real <= tol_sq * np.vdot(out[b], out[b]).real
+                       for b in blocks):
                     break
             else:
                 raise NumericalError(
@@ -248,8 +272,59 @@ class CsrExpm:
         return out
 
 
+def _batch(params) -> tuple:
+    """The parameter sets of a run: one ModelParams, or a sequence that
+    shares the time dependence (Omega, omegad and T)."""
+    batch = (params,) if isinstance(params, ModelParams) else tuple(params)
+    if not batch:
+        raise DomainError("a batch needs at least one parameter set")
+    clock = (batch[0].Omega, batch[0].omegad, batch[0].T)
+    for p in batch[1:]:
+        if (p.Omega, p.omegad, p.T) != clock:
+            raise ContractError(
+                "a batch must share Omega, omegad and T; got "
+                f"{clock} and {(p.Omega, p.omegad, p.T)}"
+            )
+    return batch
+
+
+def _block_operators(params: ModelParams, basis):
+    """H_on, H_b, a'+a, C, the static nested commutator and the diagonal of
+    the drive one, for one parameter set, projected to P' M P when an
+    isometry ``basis`` P is given.  The full-space operators are dropped on
+    return."""
+    basis_t = None if basis is None else basis.T.tocsr()
+
+    def project(mat):
+        return mat if basis is None else basis_t @ mat @ basis
+
+    h_full = build_H_battery(params).mat
+    a_on = project(h_full + build_H_static(params).mat)
+    h_batt = project(h_full)
+    drive = project(drive_operator(params).mat)
+    commutator = project(drive_commutator(params).mat)
+    with_static, with_drive = nested_commutators(params)
+    return (a_on, h_batt, drive, commutator, project(with_static.mat),
+            project(with_drive.mat).diagonal())
+
+
+def _stack(mats):
+    """Block-diagonal CSR stack of ``mats``.
+
+    A single block is kept as it is, entry order included, so a batch of
+    one does a solo run's arithmetic.
+    """
+    return mats[0] if len(mats) == 1 else sp.block_diag(mats, format="csr")
+
+
 class _Stepper:
-    """Gauss-Magnus 4th-order stepping machinery bound to one parameter set.
+    """Gauss-Magnus 4th-order stepping machinery bound to a batch of
+    parameter sets.
+
+    ``params`` is one ModelParams or a sequence sharing Omega, omegad and T.
+    Each set's operators form one block of a block-diagonal system, and
+    ``blocks`` holds the slice of the amplitude vector each block owns; the
+    drive coefficient c(t) is common to all blocks.
 
     The exponent handed to the kernel is a buffer on the union pattern of
     H_on = H_b + H_static, H_b and the drive quadrature.  It holds -i h H_on
@@ -258,27 +333,27 @@ class _Stepper:
     only the drive positions, which also carry the commutator
     omega_c (a' - a).  The drive and commutator data are stored on those
     positions only.  ``advance`` picks the step count of an interval from
-    the local error estimate of ``local_error``.
+    the per-block local error estimates of ``local_error``.
 
-    With an isometry ``basis`` (a real joint-space matrix P with P'P = I)
-    every operator is projected once to P' M P and the stepper acts on
-    coordinates in the range of P; that is exact for states in the range
-    when it is invariant under every operator.  Without one it acts on the
+    With isometries ``bases`` (one real joint-space matrix P with P'P = I per
+    block) every operator is projected once to P' M P and the stepper acts
+    on coordinates in the range of P; that is exact for states in the range
+    when it is invariant under every operator.  Without them it acts on the
     full joint space.
     """
 
-    def __init__(self, params: ModelParams, basis=None):
+    def __init__(self, params, bases=None):
         self.params = params
-        basis_t = None if basis is None else basis.T.tocsr()
-
-        def project(mat):
-            return mat if basis is None else basis_t @ mat @ basis
-
-        h_full = build_H_battery(params).mat
-        a_on = project(h_full + build_H_static(params).mat)
-        h_batt = project(h_full)
-        drive = project(drive_operator(params).mat)
-        commutator = project(drive_commutator(params).mat)
+        batch = _batch(params)
+        # The blocks share the time dependence, so the first one's drive
+        # coefficient is every block's.
+        self.clock = batch[0]
+        parts = [_block_operators(p, b)
+                 for p, b in zip(batch, bases or (None,) * len(batch))]
+        a_on, h_batt, drive, commutator, comm_static = (
+            _stack([part[i] for part in parts]) for i in range(5))
+        edges = np.cumsum([0] + [part[0].shape[0] for part in parts])
+        self.blocks = tuple(slice(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]))
         dim = a_on.shape[0]
         indptr, indices = _union_pattern([a_on, drive, h_batt])
         keys = _row_major_keys(indptr, indices, dim)
@@ -289,20 +364,20 @@ class _Stepper:
         if not np.array_equal(comm_pos, self.drive_pos):
             raise AssertionError("drive commutator entries off the drive positions")
         self.on_at_drive = self.data_on[self.drive_pos]
-        self.norm_on = _inf_norm(a_on)
-        self.norm_off = _inf_norm(h_batt)
-        self.norm_drive = _inf_norm(drive)
-        self.norm_comm = _inf_norm(commutator)
+        # Per-block infinity norms: the stacked exponent's is their maximum.
+        self.norm_on, self.norm_off, self.norm_drive, self.norm_comm = (
+            np.array([_inf_norm(part[i]) for part in parts]) for i in (0, 1, 2, 3))
+        # The Taylor stop tests the block with the largest H_on first, the
+        # one that is slowest to converge.
+        self.stop_order = tuple(self.blocks[k] for k in np.argsort(-self.norm_on, kind="stable"))
         self.kernel = CsrExpm(indptr, indices, dim)
         # Operators of the local error estimate; H_on shares the kernel's arrays.
         self.h_on = sp.csr_matrix(
             (self.data_on, self.kernel.indices, self.kernel.indptr), shape=(dim, dim)
         )
-        self.drive, self.comm = drive, commutator
-        with_static, with_drive = nested_commutators(params)
-        self.comm_static = project(with_static.mat)
-        self.comm_drive = project(with_drive.mat).diagonal()
-        self.has_drive = params.Omega != 0.0
+        self.drive, self.comm, self.comm_static = drive, commutator, comm_static
+        self.comm_drive = np.concatenate([part[5] for part in parts])
+        self.has_drive = self.clock.Omega != 0.0
         self._buffers = {}  # (h, on) -> buffer whose static part was built for it
         self._buffer = None
         self.builds = 0  # times a buffer's static part was built
@@ -324,10 +399,12 @@ class _Stepper:
             np.multiply(self.data_on if on else self.data_off, -1j * h, out=out)
             self.builds += 1
 
-    def _apply(self, amps, norm_bound):
-        segments = max(1, int(math.ceil(norm_bound / SEGMENT_NORM_BUDGET)))
+    def _apply(self, amps, norm_bounds):
+        """Apply the loaded exponent, given a bound on each block's norm."""
+        segments = max(1, int(math.ceil(norm_bounds.max() / SEGMENT_NORM_BUDGET)))
         return self.kernel.apply(
-            self._buffer, amps, segments=segments, tol=TAYLOR_TOL, max_terms=TAYLOR_MAX_TERMS
+            self._buffer, amps, segments=segments, tol=TAYLOR_TOL, max_terms=TAYLOR_MAX_TERMS,
+            blocks=self.stop_order,
         )
 
     def step(self, amps: np.ndarray, t: float, h: float, on: bool) -> np.ndarray:
@@ -337,8 +414,8 @@ class _Stepper:
             return self._apply(amps, h * self.norm_off)
         if not self.has_drive:
             return self._apply(amps, h * self.norm_on)
-        c_a = drive_coefficient(t + GL_NODE_A * h, self.params)
-        c_b = drive_coefficient(t + GL_NODE_B * h, self.params)
+        c_a = drive_coefficient(t + GL_NODE_A * h, self.clock)
+        c_b = drive_coefficient(t + GL_NODE_B * h, self.clock)
         c_mean = 0.5 * (c_a + c_b)
         c_comm = MAGNUS_COMMUTATOR_WEIGHT * h * h * (c_b - c_a)
         self._buffer[self.drive_pos] = (
@@ -352,8 +429,9 @@ class _Stepper:
         return (self.h_on @ amps, self.drive @ amps, self.comm @ amps,
                 self.comm_static @ amps, self.comm_drive * amps)
 
-    def local_error(self, probe, t: float, h: float) -> float:
-        """Estimated local error ||(Omega6 - Omega4) psi|| of a driven step.
+    def local_error(self, probe, t: float, h: float) -> np.ndarray:
+        """Estimated local error ||(Omega6 - Omega4) psi_k|| of a driven step,
+        one per block.
 
         Omega6 is the three-node Gauss-Magnus-6 exponent (Blanes et al. 2009):
         alpha1 + alpha3/12 + [X, Y]/240 with X = -20 alpha1 - alpha3 + C1 and
@@ -364,7 +442,7 @@ class _Stepper:
         """
         k_psi, d_psi, c_psi, es_psi, ed_psi = probe
         c_a, c_b, k1, k2, k3 = (
-            drive_coefficient(t + x * h, self.params)
+            drive_coefficient(t + x * h, self.clock)
             for x in (GL_NODE_A, GL_NODE_B, 0.5 - GL3_OFFSET, 0.5, 0.5 + GL3_OFFSET)
         )
         # alpha1 = -i h (H_on + k2 D), alpha2 = -i b2 D, alpha3 = -i b3 D
@@ -383,27 +461,29 @@ class _Stepper:
         diff = ((-1j * (h * (k2 - 0.5 * (c_a + c_b)) + b3 / 12.0)) * d_psi
                 - (MAGNUS_COMMUTATOR_WEIGHT * h * h * (c_b - c_a)) * c_psi
                 + xy_yx / 240.0)
-        return float(np.linalg.norm(diff))
+        return np.array([np.linalg.norm(diff[b]) for b in self.blocks])
 
     def advance(self, amps: np.ndarray, t: float, length: float, on: bool):
-        """Cover [t, t + length] in n equal steps, n the smallest count whose
-        estimated local error per unit time is at most MAGNUS_TOL.
+        """Cover [t, t + length] in n equal steps, n the smallest count at which
+        every block's estimated local error per unit time is at most
+        MAGNUS_TOL.
 
-        Returns the amplitudes, n and the interval's error estimate, n times
-        that of its first step.  Without a drive, or with the charger off,
-        the step is exact up to the Taylor tolerance and n is 1.
+        Returns the amplitudes, n and each block's error estimate for the
+        interval, n times that of its first step.  Without a drive, or with
+        the charger off, the step is exact up to the Taylor tolerance and n
+        is 1.
         """
-        n, error = 1, 0.0
+        n, errors = 1, np.zeros(len(self.blocks))
         if on and self.has_drive:
             probe = self._probe(amps)
-            error = self.local_error(probe, t, length)
-            while error > MAGNUS_TOL * length / n:
+            errors = self.local_error(probe, t, length)
+            while errors.max() > MAGNUS_TOL * length / n:
                 n += 1
-                error = self.local_error(probe, t, length / n)
+                errors = self.local_error(probe, t, length / n)
         h = length / n
         for i in range(n):
             amps = self.step(amps, t + i * h, h, on)
-        return amps, n, n * error
+        return amps, n, n * errors
 
 
 class _Sector:
@@ -559,35 +639,59 @@ def _check_dim(params: ModelParams, cap: int) -> None:
         raise ResourceError(f"total dimension {dim} exceeds the configured bound {cap}")
 
 
-def propagate(params: ModelParams, cfg: PropagationConfig | None = None) -> Trajectory:
+def propagate(params, cfg: PropagationConfig | None = None):
     """Evolve the initial product state over [0, t_max] and sample observables.
 
-    Records at every ``sample_stride``-th point of the dt grid plus the
-    initial and final times.  The magnus4 path steps from sample to sample,
-    each interval in the fewest equal steps that meet MAGNUS_TOL, in the
-    reflection-even sector: the initial state and the Hamiltonian are
-    unchanged by the site reflection, so the state stays there.  Samples and
-    the final state are lifted to the full joint basis.  Raises
-    IntegrationError when the state norm drifts beyond 1e-6.
+    ``params`` is one ModelParams, which gives one Trajectory, or a sequence
+    of them that shares Omega, omegad and T (else ContractError), which gives
+    one Trajectory per entry, in order.  Records at every
+    ``sample_stride``-th point of the dt grid plus the initial and final
+    times.  The magnus4 path steps from sample to sample, each interval in
+    the fewest equal steps that meet MAGNUS_TOL, in the reflection-even
+    sector: the initial state and the Hamiltonian are unchanged by the site
+    reflection, so the state stays there.  A batch steps as one
+    block-diagonal system with the tolerances held per block (see the module
+    docstring); each entry reports the batch's step count and its own error
+    estimate.  Samples and the final state are lifted to the full joint
+    basis.  Raises ResourceError when an entry's dimension exceeds
+    ``max_dim`` and IntegrationError when an entry's norm drifts beyond
+    1e-6.
     """
     cfg = cfg or PropagationConfig()
+    batch = _batch(params)
     if cfg.method == "oracle_expm":
-        return oracle_propagate(params, cfg)
-    _check_dim(params, cfg.max_dim)
-    sector = _Sector(params)
-    stepper = _Stepper(params, sector.basis)
-    state0 = initial_state(params)
-    amps = sector.restrict(state0.amplitudes)
-    recorder = _Recorder(params, state0)
-    recorder.record(0.0, sector.lift(amps))
-    steps, step_error = 0, 0.0
-    for t1, pieces in _sample_intervals(cfg, params.T):
+        trajectories = [oracle_propagate(p, cfg) for p in batch]
+    else:
+        trajectories = _magnus4_batch(batch, cfg)
+    return trajectories[0] if isinstance(params, ModelParams) else trajectories
+
+
+def _magnus4_batch(batch, cfg: PropagationConfig) -> list:
+    """magnus4 trajectories of a batch, stepped as one block-diagonal system."""
+    for p in batch:
+        _check_dim(p, cfg.max_dim)
+    sectors = [_Sector(p) for p in batch]
+    stepper = _Stepper(batch, [sector.basis for sector in sectors])
+    states0 = [initial_state(p) for p in batch]
+    recorders = [_Recorder(p, state0) for p, state0 in zip(batch, states0)]
+    lifts = list(zip(recorders, sectors, stepper.blocks))
+
+    def record(t, amps):
+        for recorder, sector, block in lifts:
+            recorder.record(t, sector.lift(amps[block]))
+
+    amps = np.concatenate([sector.restrict(state0.amplitudes)
+                           for sector, state0 in zip(sectors, states0)])
+    record(0.0, amps)
+    steps, step_errors = 0, np.zeros(len(batch))
+    for t1, pieces in _sample_intervals(cfg, batch[0].T):
         for a, length, on in pieces:
-            amps, n, error = stepper.advance(amps, a, length, on)
+            amps, n, errors = stepper.advance(amps, a, length, on)
             steps += n
-            step_error += error
-        recorder.record(t1, sector.lift(amps))
-    return recorder.build(steps=steps, step_error=step_error)
+            step_errors += errors
+        record(t1, amps)
+    return [recorder.build(steps=steps, step_error=float(error))
+            for recorder, error in zip(recorders, step_errors)]
 
 
 def oracle_propagate(params: ModelParams, cfg: PropagationConfig | None = None) -> Trajectory:

@@ -45,6 +45,13 @@ def _run(params, cfg):
     return traj
 
 
+def _run_cell(batch, cfg):
+    """A sweep cell's N values propagated as one batch, as ``sweep`` does."""
+    trajs = propagate(batch, cfg)
+    _POOL.extend(zip(batch, trajs))
+    return trajs
+
+
 def report(criterion, ok, msg):
     print(f"\n[CRITERION {criterion}] {'PASS' if ok else 'FAIL'} -- {msg}")
 
@@ -59,10 +66,9 @@ def table1_sweep():
     cells = {}
     for g in (0.1, 2.0):
         for eta in (-1.0, -0.5, 0.5, 1.0):
-            pm = []
-            for n in N_RANGE:
-                traj = _run(ModelParams(N=n, g=g, Omega=0.1, eta=eta), SWEEP_CFG)
-                pm.append(find_max(traj, "P_b").value)
+            trajs = _run_cell([ModelParams(N=n, g=g, Omega=0.1, eta=eta) for n in N_RANGE],
+                              SWEEP_CFG)
+            pm = [find_max(traj, "P_b").value for traj in trajs]
             cells[(g, eta)] = fit_power_law(N_RANGE, pm).alpha
     return cells
 
@@ -72,11 +78,9 @@ def linearity_sweep():
     """E_max over N at Omega = 1.0, eta = 0.8 for g in {0.5, 1.0}."""
     out = {}
     for g in (0.5, 1.0):
-        em = []
-        for n in N_RANGE:
-            traj = _run(ModelParams(N=n, g=g, Omega=1.0, eta=0.8), SWEEP_CFG)
-            em.append(find_max(traj, "E_b").value)
-        out[g] = em
+        trajs = _run_cell([ModelParams(N=n, g=g, Omega=1.0, eta=0.8) for n in N_RANGE],
+                          SWEEP_CFG)
+        out[g] = [find_max(traj, "E_b").value for traj in trajs]
     return out
 
 

@@ -145,6 +145,61 @@ class TestSweep:
             (tmp_path / "s2" / "sweep.csv").read_bytes()
 
 
+    def test_one_batch_per_cell_in_grid_order(self, tmp_path, monkeypatch):
+        calls = []
+        propagate = cli.propagate
+
+        def recording(batch, pcfg):
+            calls.append([(p.g, p.Omega, p.eta, p.N) for p in batch])
+            return propagate(batch, pcfg)
+
+        monkeypatch.setattr(cli, "propagate", recording)
+        cfg = write_config(tmp_path, N=[3, 1, 2], g=[0.4, 0.2], Omega=0.3, eta=[0.5, 0.0],
+                           N_ph=3, n_init=1, t_max=0.2, dt=0.01, sample_stride=10)
+        assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert calls == [[(g, 0.3, eta, n) for n in (1, 2, 3)]
+                         for g in (0.2, 0.4) for eta in (0.0, 0.5)]
+        _, rows = read_csv(tmp_path / "sweep.csv")
+        assert [(float(r["g"]), float(r["eta"]), int(r["N"])) for r in rows] == [
+            (p[0], p[2], p[3]) for cell in calls for p in cell]
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_is_usage_error(self, tmp_path, capsys, jobs):
+        cfg = write_config(tmp_path, **EVOLVE_CFG)
+        assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path), "--jobs", jobs]) == 2
+        assert capsys.readouterr().err.startswith("error: --jobs must be at least 1")
+        assert not (tmp_path / "sweep.csv").exists()
+
+    def test_no_more_workers_than_tasks(self, tmp_path, monkeypatch):
+        started = []
+
+        class Serial:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", Serial)
+        cfg = write_config(tmp_path, N=[1, 2], g=[0.2, 0.4, 0.6], Omega=0.3, N_ph=3,
+                           n_init=1, t_max=0.2, dt=0.01, sample_stride=10)
+        assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path), "--jobs", "8"]) == 0
+        assert started == [3]  # three cells
+        one_cell = write_config(tmp_path, "one.json", N=[1, 2], g=0.2, N_ph=3, n_init=1,
+                                t_max=0.2, dt=0.01, sample_stride=10)
+        assert cli.main(["sweep", "--config", one_cell, "--out", str(tmp_path),
+                         "--jobs", "8"]) == 0
+        assert started == [3]  # a single task runs in this process
+        _, rows = read_csv(tmp_path / "sweep.csv")
+        assert len(rows) == 2
+
+
 class TestEdgePopulationWarning:
     QUIET_CFG = dict(N=1, g=0.1, Omega=0.0, N_ph=4, n_init=1,
                      t_max=1.0, dt=0.01, sample_stride=10)

@@ -1,12 +1,15 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
 from dickeqb import dynamics
 from dickeqb.dynamics import (
     MAGNUS_TOL,
+    CsrExpm,
     PropagationConfig,
     _Recorder,
     _Stepper,
@@ -17,7 +20,7 @@ from dickeqb.dynamics import (
     propagate,
     step_magnus4,
 )
-from dickeqb.errors import DomainError, IntegrationError, ResourceError
+from dickeqb.errors import ContractError, DomainError, IntegrationError, ResourceError
 from dickeqb.model import (
     ModelParams,
     drive_coefficient,
@@ -408,6 +411,107 @@ class TestLocalError:
         driven = _Stepper(ModelParams(N=2, g=0.7, Omega=1.0, N_ph=6, T=1.0))
         amps, n, error = driven.advance(initial_state(driven.params).amplitudes, 2.0, 0.5, False)
         assert (n, error) == (1, 0.0)
+
+
+class TestBatch:
+    # Different N, N_ph, n_init, couplings and omegac; one drive and one T,
+    # which splits the sample interval [0.5, 0.6].
+    BATCH = (
+        ModelParams(N=3, N_ph=5, n_init=2, g=0.5, eta=0.8, Omega=1.0, T=0.55),
+        ModelParams(N=1, N_ph=3, n_init=0, g=0.9, omegac=1.3, Omega=1.0, T=0.55),
+        ModelParams(N=4, N_ph=4, n_init=4, g=0.3, Omega=1.0, T=0.55,
+                    coupling_mode="geometric", alpha_angle=0.4),
+    )
+    CFG = PropagationConfig(t_max=1.0, dt=0.01, sample_stride=10)
+
+    def test_matches_solo_runs(self):
+        got = propagate(list(self.BATCH), self.CFG)
+        assert len(got) == len(self.BATCH)
+        for p, traj in zip(self.BATCH, got):
+            solo = propagate(p, self.CFG)
+            assert traj.params == p
+            assert traj.steps == got[0].steps
+            assert np.array_equal(traj.times, solo.times)
+            for name in ("E_b", "dE_b", "Jz_mean"):
+                assert np.abs(getattr(traj, name) - getattr(solo, name)).max() <= 1e-8, name
+            assert traj.final_state.amplitudes.shape == (p.dims.total_dim,)
+            assert 0.0 < traj.step_error <= 10 * MAGNUS_TOL * self.CFG.t_max
+
+    def test_batch_of_one_is_the_solo_run(self):
+        p = self.BATCH[0]
+        (got,), want = propagate([p], self.CFG), propagate(p, self.CFG)
+        for name in ("E_b", "dE_b", "Jz_mean", "norms"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert (got.steps, got.step_error) == (want.steps, want.step_error)
+
+    def test_copies_step_like_the_solo_run(self):
+        # Identical blocks need the same step count, which the batch must
+        # take; an estimate from the stacked vector would take more.
+        p = ModelParams(N=3, g=0.5, Omega=1.0, eta=0.8, T=1.23)
+        cfg = PropagationConfig(t_max=2.0, dt=0.01, sample_stride=10)
+        solo = propagate(p, cfg)
+        for traj in propagate([p, p, p], cfg):
+            assert traj.steps == solo.steps
+            assert traj.step_error == pytest.approx(solo.step_error, rel=1e-9)
+            assert np.abs(traj.E_b - solo.E_b).max() <= 1e-12
+
+    def test_error_estimate_is_per_block(self):
+        batch = [ModelParams(N=2, g=0.6, eta=0.4, Omega=0.9, omegac=1.3, omegad=0.7, N_ph=4),
+                 ModelParams(N=3, g=2.0, eta=-0.5, Omega=0.9, omegad=0.7, N_ph=3),
+                 ModelParams(N=1, g=0.1, Omega=0.9, omegad=0.7, N_ph=2, n_init=0)]
+        stacked, solos = _Stepper(batch), [_Stepper(p) for p in batch]
+        psis = [_state_at(p, 0.9) for p in batch]
+        amps = np.concatenate(psis)
+        for t, h in ((0.3, 0.05), (2.0, 0.4)):
+            got = stacked.local_error(stacked._probe(amps), t, h)
+            want = [s.local_error(s._probe(psi), t, h)[0] for s, psi in zip(solos, psis)]
+            assert got == pytest.approx(want, rel=1e-12)
+        # the interval takes the largest count any block needs
+        _, n, errors = stacked.advance(amps, 1.0, 0.2, True)
+        counts = [s.advance(psi, 1.0, 0.2, True)[1] for s, psi in zip(solos, psis)]
+        assert n == max(counts) > min(counts)
+        assert np.all(errors <= MAGNUS_TOL * 0.2)
+
+    def test_taylor_stop_is_per_block(self):
+        # A small vector under the larger matrix: a stop test on the stacked
+        # vector ends its series early.
+        rng = np.random.default_rng(5)
+        mats, vecs = [], []
+        for size, norm, scale in ((6, 0.2, 1.0), (5, 1.9, 1e-6)):
+            m = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+            mats.append(m * norm / np.abs(m).sum(axis=1).max())
+            vecs.append(scale * (rng.normal(size=size) + 1j * rng.normal(size=size)))
+        stacked = scipy.sparse.block_diag(mats, format="csr")
+        stacked.sort_indices()
+        kernel = CsrExpm(stacked.indptr, stacked.indices, stacked.shape[0])
+        blocks = (slice(0, 6), slice(6, 11))
+        got = kernel.apply(stacked.data, np.concatenate(vecs), blocks=blocks)
+        for m, v, b in zip(mats, vecs, blocks):
+            want = scipy.linalg.expm(m) @ v
+            assert np.linalg.norm(got[b] - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_undriven_batch_takes_one_step_per_interval(self):
+        batch = [ModelParams(N=n, g=0.7, eta=0.3, N_ph=4) for n in (1, 2, 4)]
+        trajs = propagate(batch, PropagationConfig(t_max=1.0, dt=1e-2, sample_stride=10))
+        for traj in trajs:
+            assert traj.steps == len(traj.times) - 1 == 10
+            assert traj.step_error == 0.0
+
+    @pytest.mark.parametrize("change", [dict(Omega=0.5), dict(omegad=0.9), dict(T=2.0)],
+                             ids=["Omega", "omegad", "T"])
+    def test_batch_must_share_the_time_dependence(self, change):
+        p = ModelParams(N=2, g=0.5, Omega=1.0, N_ph=2)
+        with pytest.raises(ContractError):
+            propagate([p, replace(p, N=1, **change)], self.CFG)
+
+    def test_empty_batch_rejected(self):
+        with pytest.raises(DomainError):
+            propagate([], self.CFG)
+
+    def test_dimension_cap_per_block(self):
+        small, large = ModelParams(N=1, N_ph=2), ModelParams(N=4, N_ph=100)
+        with pytest.raises(ResourceError):
+            propagate([small, large], PropagationConfig(t_max=1.0, dt=0.1, max_dim=500))
 
 
 def _fixed_step_sample_times(cfg):

@@ -51,3 +51,21 @@ def test_kernel_hook_sees_every_exponential():
         tracer.uninstall()
     assert tracer.missing == []
     assert tracer.metrics()["kernels.exp_calls"] == traj.steps > 0
+
+
+def test_batch_counts_shared_steps_and_every_sample():
+    # One exponential serves every block of a batch, while each block
+    # records its own samples.
+    batch = [ModelParams(N=n, g=0.5, Omega=1.0, eta=0.8, N_ph=3) for n in (1, 2, 3)]
+    cfg = PropagationConfig(t_max=0.3, dt=0.05, sample_stride=2)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        trajs = propagate(batch, cfg)
+    finally:
+        tracer.uninstall()
+    metrics = tracer.metrics()
+    assert tracer.missing == []
+    assert {traj.steps for traj in trajs} == {metrics["kernels.exp_calls"]}
+    assert metrics["kernels.exp_calls"] > len(trajs[0].times) - 1
+    assert metrics["dynamics.samples"] == sum(len(traj.times) for traj in trajs)
