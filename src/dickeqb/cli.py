@@ -384,6 +384,11 @@ def cmd_phase_diagram(args) -> int:
         for eta in etas
         for g in gs
     ]
+    # The dimension bound evolve, sweep and convergence apply, at its
+    # default, checked before any Hamiltonian is assembled.
+    dim, cap = tasks[0].dims.total_dim, PropagationConfig.max_dim
+    if dim > cap:
+        raise ResourceError(f"total dimension {dim} exceeds the bound {cap}")
     results = _run_pool(_phase_point, tasks, args.jobs)
     warnings = 0
     rows = []

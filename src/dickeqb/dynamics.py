@@ -20,12 +20,14 @@ without a drive or with the charger off, so such intervals take one step:
 Magnus-4 is exact for a static Hamiltonian.  dt therefore sets the sample
 spacing, not the step.
 
-The exponent lives in a data buffer on a fixed CSR pattern and is applied
-by the Taylor kernel ``CsrExpm`` defined here: the scaled Taylor apply of
-Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011) 488, on SciPy's CSR
-matvec.  The buffer holds -i h H_on and is built once per distinct
-(h, charger state); a driven step rewrites only the ~2 dim entries where a'+a
-and a'-a are nonzero.
+The exponent is applied by the Taylor kernel ``CsrExpm`` defined here: the
+scaled Taylor apply of Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011) 488,
+on SciPy's CSR matvec.  The kernel takes the step's scalar -i h apart from
+the matrix and multiplies it into the factor it applies to every Taylor
+term, so the matrix data never depend on h.  They live on one fixed CSR
+pattern: H_on or H_b as built, and for a driven step one work array that
+differs from H_on only on the ~2 dim entries where a'+a and a'-a are
+nonzero.
 
 ``propagate`` steps in the reflection-even sector.  The initial state
 |g...g> x |n_init> and every term of the Hamiltonian are unchanged by the
@@ -40,7 +42,7 @@ the full space, so it stays exact on any state.
 ``propagate`` also takes a batch: parameter sets that share the time
 dependence (Omega, omegad and T), such as the N = 1..6 points of a sweep
 cell.  Their sector operators are stacked block-diagonally, so the batch
-steps as one system: one exponent buffer, one drive coefficient c(t) and
+steps as one system: one exponent array, one drive coefficient c(t) and
 one sequence of kernel calls per interval.  The tolerances hold per block.
 An interval takes the largest step count any block needs, since its error
 estimate is the largest of the per-block ||(Omega6 - Omega4) psi_k||, and
@@ -101,7 +103,6 @@ MAGNUS_TOL = 1e-8
 TAYLOR_TOL = 1e-12
 TAYLOR_MAX_TERMS = 64
 SEGMENT_NORM_BUDGET = 2.0  # max ||M||_inf handed to one Taylor segment
-BUFFER_SLOTS = 4  # exponent buffers kept, one per recent (h, charger on)
 
 NORM_DRIFT_LIMIT = 1e-6
 
@@ -174,43 +175,16 @@ class Trajectory:
                 fh.write(",".join("%.12g" % x for x in row) + "\n")
 
 
-def _union_pattern(mats):
-    """Union CSR sparsity pattern over the stored entries of ``mats``."""
-    pat = None
-    for m in mats:
-        p = m.tocsr(copy=True)
-        p.data = np.ones_like(p.data)
-        pat = p if pat is None else pat + p
-    pat = pat.tocsr()
-    pat.sum_duplicates()
-    pat.sort_indices()
-    return pat.indptr.copy(), pat.indices.copy()
-
-
-def _row_major_keys(indptr, indices, dim) -> np.ndarray:
-    """row * dim + column of every stored entry, ascending for a sorted CSR."""
-    rows = np.repeat(np.arange(dim, dtype=np.int64), np.diff(indptr))
-    return rows * dim + indices
-
-
-def _positions_on_pattern(pattern_keys, dim, mat):
-    """Positions of the entries of ``mat`` in the (superset) pattern, and their data."""
-    m = mat.tocsr()
-    m.sum_duplicates()
-    m.sort_indices()
-    keys = _row_major_keys(m.indptr, m.indices, dim)
-    pos = np.searchsorted(pattern_keys, keys)
-    if len(keys) and not np.array_equal(pattern_keys[pos], keys):
-        raise AssertionError("matrix entries outside the union pattern")
-    return pos, m.data
-
-
-def _data_on_pattern(pattern_keys, dim, mat) -> np.ndarray:
-    """Data array of ``mat`` scattered onto the (superset) pattern."""
-    pos, data = _positions_on_pattern(pattern_keys, dim, mat)
-    out = np.zeros(len(pattern_keys), dtype=np.complex128)
-    out[pos] = data
-    return out
+def _entries(mat, rows, cols) -> np.ndarray:
+    """Entries of ``mat`` at the distinct positions (rows, cols), which must
+    hold every nonzero of ``mat``."""
+    if len(rows):
+        data = np.asarray(mat[rows, cols], dtype=np.complex128).ravel()
+    else:  # SciPy gives a sparse matrix, not an array, for no positions
+        data = np.zeros(0, dtype=np.complex128)
+    if np.count_nonzero(data) != mat.count_nonzero():
+        raise AssertionError("operator entries outside the positions read")
+    return data
 
 
 def _inf_norm(mat) -> float:
@@ -234,28 +208,31 @@ class CsrExpm:
             shape=(dim, dim),
         )
 
-    def apply(self, data, v, segments: int = 1, tol: float = 1e-12,
-              max_terms: int = 64, blocks=None) -> np.ndarray:
-        """exp(M) @ v with M given by ``data`` on the bound pattern.
+    def apply(self, data, v, scale: complex = 1.0, segments: int = 1,
+              blocks=None) -> np.ndarray:
+        """exp(scale * M) @ v with M given by ``data`` on the bound pattern.
 
-        exp(M) is applied as ``segments`` factors exp(M / segments), each a
-        Taylor series that stops when the squared norm of its last term is at
-        most tol^2 times the squared norm of the running result.  For a
-        block-diagonal M, ``blocks`` (slices of v) applies that test to every
-        block against its own norm, and the series stops once all pass;
-        None treats v as one block.  Neither ``v`` nor ``data`` is written:
-        the first term's sum allocates the result.
+        exp(scale * M) is applied as ``segments`` factors
+        exp(scale * M / segments), each a Taylor series whose m-th term is
+        the previous one times M and scale / (segments * m); it stops when
+        the squared norm of its last term is at most TAYLOR_TOL^2 times the
+        squared norm of the running result, and raises NumericalError after
+        TAYLOR_MAX_TERMS terms.  For a block-diagonal M, ``blocks`` (slices
+        of v) applies that test to every block against its own norm, and the
+        series stops once all pass; None treats v as one block.  Neither
+        ``v`` nor ``data`` is written: the first term's sum allocates the
+        result.
         """
         mat = self._mat
         mat.data = np.ascontiguousarray(data, dtype=np.complex128)
         out = np.ascontiguousarray(v, dtype=np.complex128)
-        tol_sq = tol * tol
+        tol_sq = TAYLOR_TOL * TAYLOR_TOL
         blocks = (slice(None),) if blocks is None else blocks
         for _ in range(segments):
             term = out
-            for m in range(1, max_terms + 1):
+            for m in range(1, TAYLOR_MAX_TERMS + 1):
                 term = mat.dot(term)
-                term *= 1.0 / (segments * m)
+                term *= scale / (segments * m)
                 if m == 1:
                     out = out + term
                 else:
@@ -265,9 +242,8 @@ class CsrExpm:
                     break
             else:
                 raise NumericalError(
-                    f"exponential Taylor series did not converge within {max_terms} terms "
-                    f"(segments={segments}); split the exponent into more segments "
-                    "or raise max_terms"
+                    f"exponential Taylor series did not converge within {TAYLOR_MAX_TERMS} "
+                    f"terms (segments={segments}); split the exponent into more segments"
                 )
         return out
 
@@ -326,14 +302,15 @@ class _Stepper:
     ``blocks`` holds the slice of the amplitude vector each block owns; the
     drive coefficient c(t) is common to all blocks.
 
-    The exponent handed to the kernel is a buffer on the union pattern of
-    H_on = H_b + H_static, H_b and the drive quadrature.  It holds -i h H_on
-    (or -i h H_b with the charger off) for the (h, on) it was built for, and
-    up to BUFFER_SLOTS such buffers are kept; a driven step then overwrites
-    only the drive positions, which also carry the commutator
-    omega_c (a' - a).  The drive and commutator data are stored on those
-    positions only.  ``advance`` picks the step count of an interval from
-    the per-block local error estimates of ``local_error``.
+    The kernel applies exp(-i h M) with M on the union pattern of
+    H_on = H_b + H_static, H_b and the drive quadrature: ``data_on`` holds
+    H_on and ``data_off`` H_b, neither scaled by h.  A driven step writes
+    H_on + c_mean (a'+a) + (i c_comm / h) omega_c (a' - a) into one work
+    array that equals ``data_on`` elsewhere, rewriting only the drive
+    positions, where the commutator also sits; the drive and commutator
+    data are stored on those positions only.  ``advance`` picks the step
+    count of an interval from the per-block local error estimates of
+    ``local_error``.
 
     With isometries ``bases`` (one real joint-space matrix P with P'P = I per
     block) every operator is projected once to P' M P and the stepper acts
@@ -355,22 +332,25 @@ class _Stepper:
         edges = np.cumsum([0] + [part[0].shape[0] for part in parts])
         self.blocks = tuple(slice(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]))
         dim = a_on.shape[0]
-        indptr, indices = _union_pattern([a_on, drive, h_batt])
-        keys = _row_major_keys(indptr, indices, dim)
-        self.data_on = _data_on_pattern(keys, dim, a_on)
-        self.data_off = _data_on_pattern(keys, dim, h_batt)
-        self.drive_pos, self.drive_data = _positions_on_pattern(keys, dim, drive)
-        comm_pos, self.comm_data = _positions_on_pattern(keys, dim, commutator)
-        if not np.array_equal(comm_pos, self.drive_pos):
-            raise AssertionError("drive commutator entries off the drive positions")
+        pattern = (abs(a_on) + abs(h_batt) + abs(drive)).tocsr()
+        pattern.sort_indices()
+        rows = np.repeat(np.arange(dim), np.diff(pattern.indptr))
+        cols = pattern.indices
+        self.data_on = _entries(a_on, rows, cols)
+        self.data_off = _entries(h_batt, rows, cols)
+        self.drive_pos = np.flatnonzero(abs(drive)[rows, cols])
+        at_drive = rows[self.drive_pos], cols[self.drive_pos]
+        self.drive_data = _entries(drive, *at_drive)
+        self.comm_data = _entries(commutator, *at_drive)
         self.on_at_drive = self.data_on[self.drive_pos]
+        self.work = None  # H_on with the drive terms of the last driven step
         # Per-block infinity norms: the stacked exponent's is their maximum.
         self.norm_on, self.norm_off, self.norm_drive, self.norm_comm = (
             np.array([_inf_norm(part[i]) for part in parts]) for i in (0, 1, 2, 3))
         # The Taylor stop tests the block with the largest H_on first, the
         # one that is slowest to converge.
         self.stop_order = tuple(self.blocks[k] for k in np.argsort(-self.norm_on, kind="stable"))
-        self.kernel = CsrExpm(indptr, indices, dim)
+        self.kernel = CsrExpm(pattern.indptr, pattern.indices, dim)
         # Operators of the local error estimate; H_on shares the kernel's arrays.
         self.h_on = sp.csr_matrix(
             (self.data_on, self.kernel.indices, self.kernel.indptr), shape=(dim, dim)
@@ -378,51 +358,32 @@ class _Stepper:
         self.drive, self.comm, self.comm_static = drive, commutator, comm_static
         self.comm_drive = np.concatenate([part[5] for part in parts])
         self.has_drive = self.clock.Omega != 0.0
-        self._buffers = {}  # (h, on) -> buffer whose static part was built for it
-        self._buffer = None
-        self.builds = 0  # times a buffer's static part was built
 
-    def _load(self, h: float, on: bool) -> None:
-        """Make the buffer hold -i h H_on (on) or -i h H_b (off).
-
-        A step count that alternates between neighbours, as the error
-        control's does, finds its buffer kept; the oldest slot is reused.
-        """
-        key = (h, on)
-        self._buffer = self._buffers.get(key)
-        if self._buffer is None:
-            if len(self._buffers) < BUFFER_SLOTS:
-                out = np.empty(len(self.data_on), dtype=np.complex128)
-            else:
-                out = self._buffers.pop(next(iter(self._buffers)))
-            self._buffer = self._buffers[key] = out
-            np.multiply(self.data_on if on else self.data_off, -1j * h, out=out)
-            self.builds += 1
-
-    def _apply(self, amps, norm_bounds):
-        """Apply the loaded exponent, given a bound on each block's norm."""
+    def _apply(self, data, amps, h, norm_bounds):
+        """exp(-i h M) amps for M given by ``data``, given a bound on each
+        block's norm of -i h M."""
         segments = max(1, int(math.ceil(norm_bounds.max() / SEGMENT_NORM_BUDGET)))
-        return self.kernel.apply(
-            self._buffer, amps, segments=segments, tol=TAYLOR_TOL, max_terms=TAYLOR_MAX_TERMS,
-            blocks=self.stop_order,
-        )
+        return self.kernel.apply(data, amps, -1j * h, segments=segments, blocks=self.stop_order)
 
     def step(self, amps: np.ndarray, t: float, h: float, on: bool) -> np.ndarray:
         """Advance the amplitudes from t to t + h (charger on or off)."""
-        self._load(h, on)
         if not on:
-            return self._apply(amps, h * self.norm_off)
+            return self._apply(self.data_off, amps, h, h * self.norm_off)
         if not self.has_drive:
-            return self._apply(amps, h * self.norm_on)
+            return self._apply(self.data_on, amps, h, h * self.norm_on)
         c_a = drive_coefficient(t + GL_NODE_A * h, self.clock)
         c_b = drive_coefficient(t + GL_NODE_B * h, self.clock)
         c_mean = 0.5 * (c_a + c_b)
         c_comm = MAGNUS_COMMUTATOR_WEIGHT * h * h * (c_b - c_a)
-        self._buffer[self.drive_pos] = (
-            (-1j * h) * (self.on_at_drive + c_mean * self.drive_data) + c_comm * self.comm_data
+        if self.work is None:
+            # Made here, not in __init__, so it can reuse memory the
+            # constructor's temporaries have freed instead of raising the peak.
+            self.work = self.data_on.copy()
+        self.work[self.drive_pos] = (
+            self.on_at_drive + c_mean * self.drive_data + (1j * c_comm / h) * self.comm_data
         )
         norm = h * (self.norm_on + abs(c_mean) * self.norm_drive) + abs(c_comm) * self.norm_comm
-        return self._apply(amps, norm)
+        return self._apply(self.work, amps, h, norm)
 
     def _probe(self, amps):
         """H_on, a'+a, C and the nested commutators applied to the state."""
@@ -567,7 +528,7 @@ def _sample_intervals(cfg: PropagationConfig, T):
     The sample times are every sample_stride-th point of the dt grid, and
     t_max.  A piece as long as the nominal spacing sample_stride * dt gets
     exactly that length, so the step width does not jitter with the float
-    sample times and the exponent buffer is built once per distinct step.
+    sample times.
     """
     edges = _time_grid(cfg)
     times = edges[::cfg.sample_stride]

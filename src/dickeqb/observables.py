@@ -17,7 +17,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg as spla
 
-from dickeqb.errors import ContractError, NumericalError, ResourceError
+from dickeqb.errors import ContractError, NumericalError
 from dickeqb.operators import HilbertDims, SparseOperator, StateVector
 
 VARIANCE_FLOOR = -1e-10
@@ -113,16 +113,16 @@ def _dense_lowest_pair(mat) -> tuple[np.ndarray, np.ndarray]:
     return vals, vecs
 
 
-def ground_state(H_static: SparseOperator, method: str = "auto") -> GroundStateResult:
+def ground_state(H_static: SparseOperator) -> GroundStateResult:
     """Lowest eigenpair of the undriven Hamiltonian.
 
-    ``method``: "auto" uses ARPACK above DENSE_SOLVER_DIM with a dense
-    fallback (dimensions up to 4096) on non-convergence; "lanczos" and
-    "dense" force one path.  A Hamiltonian whose entries are all real, as
-    every one the model builds is, is solved as a real symmetric matrix
-    with a real start vector; one with a nonzero imaginary part stays on
-    the complex Hermitian solve.  The ARPACK start vector is fixed so
-    repeated runs are bitwise reproducible.
+    Dense diagonalization up to DENSE_SOLVER_DIM; above it ARPACK, with a
+    dense fallback (dimensions up to DENSE_FALLBACK_MAX_DIM) when ARPACK
+    does not converge.  A Hamiltonian whose entries are all real, as every
+    one the model builds is, is solved as a real symmetric matrix with a
+    real start vector; one with a nonzero imaginary part stays on the
+    complex Hermitian solve.  The ARPACK start vector is fixed so repeated
+    runs are bitwise reproducible.
     """
     if not H_static.hermitian:
         raise ContractError("ground_state requires a Hermitian operator")
@@ -132,9 +132,8 @@ def ground_state(H_static: SparseOperator, method: str = "auto") -> GroundStateR
     if not mat.data.imag.any():
         mat = mat.real.copy()  # contiguous; .real alone is a strided view
 
-    use_dense = method == "dense" or (method == "auto" and n <= DENSE_SOLVER_DIM)
     vals = vecs = None
-    if not use_dense:
+    if n > DENSE_SOLVER_DIM:
         v0 = np.full(n, 1.0 / np.sqrt(n), dtype=mat.dtype)
         k = min(2, n - 1)
         try:
@@ -142,12 +141,9 @@ def ground_state(H_static: SparseOperator, method: str = "auto") -> GroundStateR
             order = np.argsort(vals)
             vals, vecs = vals[order], vecs[:, order]
         except (spla.ArpackNoConvergence, spla.ArpackError) as exc:
-            if method == "lanczos" or n > DENSE_FALLBACK_MAX_DIM:
+            if n > DENSE_FALLBACK_MAX_DIM:
                 raise NumericalError(f"eigensolver did not converge: {exc}") from exc
-            use_dense = True
-    if use_dense:
-        if n > DENSE_FALLBACK_MAX_DIM:
-            raise ResourceError(f"dense diagonalization capped at {DENSE_FALLBACK_MAX_DIM}, got {n}")
+    if vals is None:
         vals, vecs = _dense_lowest_pair(mat)
 
     energy = float(vals[0])

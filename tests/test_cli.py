@@ -323,6 +323,18 @@ class TestPhaseDiagram:
         cfg = write_config(tmp_path, N=2, eta=[0.0], g=[0.1], Omega=1.0)
         assert cli.main(["phase-diagram", "--config", cfg, "--out", str(tmp_path)]) == 2
 
+    def test_dimension_bound(self, tmp_path, capsys, monkeypatch):
+        # N = 16 with N_ph = 4N is a joint space of 4.2M, far above the
+        # 200,000 default of max_dim: refused before any assembly.
+        def refuse(params):
+            raise AssertionError("static_hamiltonian called")
+
+        monkeypatch.setattr(cli, "static_hamiltonian", refuse)
+        cfg = write_config(tmp_path, N=16, eta=[0.0], g=[0.1])
+        assert cli.main(["phase-diagram", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: total dimension 4259840 exceeds")
+        assert not (tmp_path / "phase_diagram.csv").exists()
+
 
 class TestConvergence:
     def test_decoupled_rig_reports_zero(self, tmp_path):

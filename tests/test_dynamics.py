@@ -14,6 +14,7 @@ from dickeqb.dynamics import (
     _Recorder,
     _Stepper,
     _charging_segments,
+    _entries,
     _sample_intervals,
     _time_grid,
     oracle_propagate,
@@ -23,7 +24,10 @@ from dickeqb.dynamics import (
 from dickeqb.errors import ContractError, DomainError, IntegrationError, ResourceError
 from dickeqb.model import (
     ModelParams,
+    build_H_battery,
+    build_H_static,
     drive_coefficient,
+    drive_commutator,
     drive_operator,
     hamiltonian_at,
     initial_state,
@@ -324,29 +328,6 @@ class TestStepperBuffer:
         assert np.abs(traj.final_state.amplitudes - amps).max() < 1e-14
         assert np.abs(traj.E_b - energies).max() < 1e-14
 
-    def test_builds_once_per_distinct_step(self, monkeypatch):
-        # dt = 4e-3 puts the sample times k * 0.02 off by a few ulp, and the
-        # step count alternates between 1 and 2 per interval
-        steppers, keys = [], set()
-
-        class Recording(_Stepper):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                steppers.append(self)
-
-            def step(self, amps, t, h, on):
-                keys.add((h, on))
-                return super().step(amps, t, h, on)
-
-        monkeypatch.setattr(dynamics, "_Stepper", Recording)
-        p = ModelParams(N=3, g=2.0, Omega=0.1, eta=-0.5)
-        cfg = PropagationConfig(t_max=4.0, dt=4e-3, sample_stride=5)
-        propagate(p, cfg)
-        nominal = cfg.sample_stride * cfg.dt
-        assert {h for h, _ in keys} <= {nominal / n for n in range(1, 8)}
-        assert len(keys) >= 2
-        assert steppers[0].builds <= len(keys)
-
 
 def _dense_exponents(p, t, h):
     """Dense Gauss-Magnus-4 and -6 exponents (Blanes et al. 2009) of one step."""
@@ -591,12 +572,30 @@ class TestStepperInternals:
     def test_pattern_alignment_reconstructs_operators(self):
         p = ModelParams(N=2, g=0.4, Omega=0.3, eta=0.6, N_ph=3)
         stepper = _Stepper(p)
-        import scipy.sparse as sp
-
-        dim = p.dims.total_dim
         kernel = stepper.kernel
-        on = sp.csr_matrix((stepper.data_on, kernel.indices, kernel.indptr), shape=(dim, dim))
-        from dickeqb.model import build_H_battery, build_H_static
+        dim = p.dims.total_dim
 
-        want = (build_H_battery(p) + build_H_static(p)).mat
-        assert abs(on - want).max() < 1e-14
+        def on_pattern(data):
+            return scipy.sparse.csr_matrix((data, kernel.indices, kernel.indptr), shape=(dim, dim))
+
+        def at_drive(data):
+            out = np.zeros(len(kernel.indices), dtype=complex)
+            out[stepper.drive_pos] = data
+            return on_pattern(out)
+
+        h_b = build_H_battery(p).mat
+        for got, want in ((on_pattern(stepper.data_on), h_b + build_H_static(p).mat),
+                          (on_pattern(stepper.data_off), h_b),
+                          (at_drive(stepper.drive_data), drive_operator(p).mat),
+                          (at_drive(stepper.comm_data), drive_commutator(p).mat)):
+            assert abs(got - want).max() < 1e-14
+        # the drive positions are exactly the nonzeros of a'+a
+        assert len(stepper.drive_pos) == drive_operator(p).mat.count_nonzero()
+        assert np.count_nonzero(stepper.drive_data) == len(stepper.drive_pos)
+
+    def test_entries_off_the_positions_raise(self):
+        mat = scipy.sparse.csr_matrix(np.array([[1.0, 0.0], [2.0, 3.0]], dtype=complex))
+        rows, cols = np.array([0, 1, 1]), np.array([0, 0, 1])
+        assert np.array_equal(_entries(mat, rows, cols), [1.0, 2.0, 3.0])
+        with pytest.raises(AssertionError, match="outside the positions read"):
+            _entries(mat, rows[:2], cols[:2])

@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
-from dickeqb.dynamics import CsrExpm
+from dickeqb.dynamics import TAYLOR_MAX_TERMS, CsrExpm
 from dickeqb.errors import NumericalError
 
 
@@ -17,17 +17,19 @@ def random_csr(dim, density, seed):
     return mat
 
 
-@pytest.mark.parametrize("seed", [0, 3])
-def test_matches_dense_expm(seed):
+# A step scale such as -i h multiplies every Taylor term, not the data.
+@pytest.mark.parametrize("seed, scale", [(0, 1.0), (3, 1.0), (0, -0.45j), (3, 0.3 - 0.8j)],
+                         ids=["0", "3", "0-scaled", "3-scaled"])
+def test_matches_dense_expm(seed, scale):
     mat = random_csr(40, 0.15, seed)
     rng = np.random.default_rng(seed + 50)
     v = rng.normal(size=40) + 1j * rng.normal(size=40)
     data, v_in = mat.data.copy(), v.copy()
     kern = CsrExpm(mat.indptr, mat.indices, 40)
-    norm = float(abs(mat).sum(axis=1).max())
+    norm = abs(scale) * float(abs(mat).sum(axis=1).max())
     segments = max(1, int(np.ceil(norm / 2.0)))
-    got = kern.apply(mat.data, v, segments=segments)
-    want = scipy.linalg.expm(mat.toarray()) @ v
+    got = kern.apply(mat.data, v, scale, segments=segments)
+    want = scipy.linalg.expm(scale * mat.toarray()) @ v
     assert np.abs(got - want).max() < 1e-11 * max(1.0, np.abs(want).max())
     # The inputs are read, never written.
     assert np.array_equal(v, v_in)
@@ -46,12 +48,14 @@ def test_zero_matrix_is_identity():
 
 
 def test_nonconvergence_raises():
+    # The Taylor terms of exp(50) still exceed TAYLOR_TOL times the sum at
+    # TAYLOR_MAX_TERMS terms.
     mat = sp.identity(4, format="csr", dtype=complex) * 50.0
     kern = CsrExpm(mat.indptr, mat.indices, 4)
     v = np.ones(4, dtype=complex)
-    with pytest.raises(NumericalError, match=r"\(segments=1\); split the exponent into more "
-                       r"segments or raise max_terms"):
-        kern.apply(mat.data, v, segments=1, max_terms=5)
+    with pytest.raises(NumericalError, match=rf"within {TAYLOR_MAX_TERMS} terms "
+                       r"\(segments=1\); split the exponent into more segments"):
+        kern.apply(mat.data, v, segments=1)
 
 
 def test_unitary_for_skew_hermitian():

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from dickeqb.errors import ContractError, NumericalError
 from dickeqb.model import ModelParams, initial_state, static_hamiltonian
 from dickeqb.observables import (
+    DENSE_FALLBACK_MAX_DIM,
     DENSE_SOLVER_DIM,
     GroundStateResult,
     charging_power,
@@ -97,6 +99,18 @@ class TestMagnetization:
         assert jz_mean(state) == pytest.approx(expectation(state, jz), abs=1e-12)
 
 
+def _break_arpack(monkeypatch) -> list:
+    """Make every ARPACK call raise ArpackNoConvergence; returns the calls made."""
+    calls = []
+
+    def fail(*args, **kwargs):
+        calls.append(args)
+        raise spla.ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+
+    monkeypatch.setattr(spla, "eigsh", fail)
+    return calls
+
+
 class TestGroundState:
     def test_decoupled_limit(self):
         p = ModelParams(N=2, g=0.0, eta=0.0, N_ph=3, n_init=0)
@@ -110,7 +124,8 @@ class TestGroundState:
         # independent oracle: full dense diagonalization
         p = ModelParams(N=3, g=0.1, eta=1.0)
         h = static_hamiltonian(p)
-        res = ground_state(h, method="lanczos")
+        assert p.dims.total_dim > DENSE_SOLVER_DIM  # solved by ARPACK
+        res = ground_state(h)
         vals, vecs = np.linalg.eigh(h.to_dense())
         vec = vecs[:, 0]
         ref_m = magnetization(StateVector(p.dims, vec / np.linalg.norm(vec)))
@@ -118,25 +133,40 @@ class TestGroundState:
         assert res.magnetization == pytest.approx(ref_m, abs=1e-8)
         assert res.gap == pytest.approx(vals[1] - vals[0], abs=1e-8)
 
-    def test_dense_and_lanczos_agree(self):
-        p = ModelParams(N=2, g=0.8, eta=-0.5, N_ph=6)
+    def test_dense_and_lanczos_agree(self, monkeypatch):
+        # an ARPACK failure falls back to the dense solve
+        p = ModelParams(N=2, g=0.8, eta=-0.5, N_ph=12)
         h = static_hamiltonian(p)
-        a = ground_state(h, method="dense")
-        b = ground_state(h, method="lanczos")
-        assert a.energy == pytest.approx(b.energy, abs=1e-9)
-        assert a.magnetization == pytest.approx(b.magnetization, abs=1e-8)
+        assert p.dims.total_dim > DENSE_SOLVER_DIM
+        lanczos = ground_state(h)
+        calls = _break_arpack(monkeypatch)
+        dense = ground_state(h)
+        assert len(calls) == 1
+        assert dense.energy == pytest.approx(lanczos.energy, abs=1e-9)
+        assert dense.magnetization == pytest.approx(lanczos.magnetization, abs=1e-8)
+        assert dense.gap == pytest.approx(lanczos.gap, abs=1e-8)
 
-    @pytest.mark.parametrize("method", ["auto", "dense"])
+    def test_no_fallback_above_dense_cap(self, monkeypatch):
+        _break_arpack(monkeypatch)
+        p = ModelParams(N=8, N_ph=16)
+        assert p.dims.total_dim > DENSE_FALLBACK_MAX_DIM
+        with pytest.raises(NumericalError, match="eigensolver did not converge"):
+            ground_state(static_hamiltonian(p))
+
+    # N_ph = 5 and 10 put the dimension (24, 44) on either side of
+    # DENSE_SOLVER_DIM, so the dense and the ARPACK solve are both checked.
+    @pytest.mark.parametrize("N_ph", [5, 10], ids=["dense", "lanczos"])
     @pytest.mark.parametrize("imag", [0.0, 0.4], ids=["real", "complex"])
-    def test_matches_dense_eigh(self, method, imag):
+    def test_matches_dense_eigh(self, N_ph, imag):
         # model Hamiltonians are real and take the real symmetric solve; a
         # sigma^y term makes one complex Hermitian, which keeps the complex one
-        p = ModelParams(N=2, g=0.5, eta=0.3, N_ph=10)
+        p = ModelParams(N=2, g=0.5, eta=0.3, N_ph=N_ph)
         h = static_hamiltonian(p)
         if imag:
             h = h + imag * build_pauli(1, "y", p.dims)
-        assert h.mat.data.imag.any() == bool(imag) and p.dims.total_dim > DENSE_SOLVER_DIM
-        res = ground_state(h, method=method)
+        assert h.mat.data.imag.any() == bool(imag)
+        assert (p.dims.total_dim > DENSE_SOLVER_DIM) == (N_ph == 10)
+        res = ground_state(h)
         vals, vecs = np.linalg.eigh(h.to_dense())
         assert vals[1] - vals[0] > 1e-3  # non-degenerate point
         assert res.state.amplitudes.dtype == np.complex128
@@ -149,7 +179,7 @@ class TestGroundState:
         dims = HilbertDims(1, 1)
         op = SparseOperator(dims, np.diag([0.0, 0.0, 1.0, 2.0]).astype(complex),
                             hermitian=True)
-        res = ground_state(op, method="dense")
+        res = ground_state(op)
         assert res.degenerate
         assert res.gap < 1e-10
 
