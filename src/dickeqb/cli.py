@@ -379,8 +379,9 @@ def cmd_phase_diagram(args) -> int:
     if len(etas) * len(gs) > grid_cap:
         raise ConfigError(f"grid size {len(etas) * len(gs)} exceeds cap {grid_cap}")
     base_cfg = {k: v for k, v in cfg.items() if k not in ("eta", "g", "grid_cap")}
+    # n_init only sets the propagation's initial state; 0 is valid at any N_ph.
     tasks = [
-        _model_params(base_cfg, eta=eta, g=g)
+        _model_params(base_cfg, eta=eta, g=g, n_init=0)
         for eta in etas
         for g in gs
     ]

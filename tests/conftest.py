@@ -1,9 +1,9 @@
 """Test-session setup: one BLAS thread.
 
-The suite's dense linear algebra runs on small matrices, where a second
-BLAS thread gains nothing and, with the other core busy, slows the dense
-oracle's eigendecompositions about tenfold.  The variables are read when
-NumPy loads, which is after pytest imports this file.
+The suite's dense linear algebra (eigendecompositions, expm references)
+runs on small matrices, where a second BLAS thread gains nothing and only
+competes for the cores.  The variables are read when NumPy loads, which
+is after pytest imports this file.
 """
 
 import os

@@ -121,7 +121,7 @@ def test_criterion_1_unitarity_and_conservation():
 
 
 def test_criterion_2_oracle_equivalence():
-    """magnus4 vs the dense piecewise-exponential oracle on the driven pair."""
+    """magnus4 vs the DOP853 Runge-Kutta oracle on the driven pair."""
     params = ModelParams(N=2, N_ph=8, g=0.5, Omega=1.0, eta=0.8)
     cfg = PropagationConfig(t_max=10.0, dt=1e-3, sample_stride=10)
     t_m = _run(params, cfg)

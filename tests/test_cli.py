@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -323,6 +327,16 @@ class TestPhaseDiagram:
         cfg = write_config(tmp_path, N=2, eta=[0.0], g=[0.1], Omega=1.0)
         assert cli.main(["phase-diagram", "--config", cfg, "--out", str(tmp_path)]) == 2
 
+    def test_cutoff_below_atom_count(self, tmp_path):
+        # n_init defaults to N, which N_ph = 2 cannot hold; the ground state
+        # does not depend on it.
+        cfg = write_config(tmp_path, N=4, N_ph=2, eta=[0.0], g=[0.5])
+        assert cli.main(["phase-diagram", "--config", cfg, "--out", str(tmp_path)]) == 0
+        _, rows = read_csv(tmp_path / "phase_diagram.csv")
+        assert len(rows) == 1
+        ref = ground_state(static_hamiltonian(ModelParams(N=4, N_ph=2, n_init=0, g=0.5)))
+        assert float(rows[0]["magnetization"]) == pytest.approx(ref.magnetization, abs=1e-9)
+
     def test_dimension_bound(self, tmp_path, capsys, monkeypatch):
         # N = 16 with N_ph = 4N is a joint space of 4.2M, far above the
         # 200,000 default of max_dim: refused before any assembly.
@@ -391,3 +405,14 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             cli.main(["explode"])
         assert exc.value.code == 2
+
+    def test_import_leaves_out_scipy_integrate(self):
+        # scipy.integrate serves only the oracle; importing it with the CLI
+        # would add ~0.3 s to every start.
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = "import sys, dickeqb.cli; print('scipy.integrate' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "False"

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.linalg
 import scipy.sparse
 
@@ -21,7 +22,13 @@ from dickeqb.dynamics import (
     propagate,
     step_magnus4,
 )
-from dickeqb.errors import ContractError, DomainError, IntegrationError, ResourceError
+from dickeqb.errors import (
+    ContractError,
+    DomainError,
+    IntegrationError,
+    NumericalError,
+    ResourceError,
+)
 from dickeqb.model import (
     ModelParams,
     build_H_battery,
@@ -113,7 +120,7 @@ class TestStepMagnus4:
             step_magnus4(initial_state(p), 0.0, 0.0, p)
 
     def test_fourth_order_convergence(self):
-        # halving dt shrinks the global error ~16x against the dense oracle
+        # halving dt shrinks the global error ~16x against the DOP853 oracle
         p = ModelParams(N=2, N_ph=4, g=0.5, Omega=1.0, eta=0.8, n_init=2)
         ref_cfg = PropagationConfig(t_max=1.0, dt=5e-4, sample_stride=2000)
         ref = oracle_propagate(p, ref_cfg).final_state.amplitudes
@@ -150,6 +157,18 @@ class TestPropagate:
         cfg = PropagationConfig(t_max=2.0, dt=1e-3, sample_stride=20)
         t_m = propagate(p, cfg)
         t_o = oracle_propagate(p, cfg)
+        assert np.array_equal(t_m.times, t_o.times)
+        assert np.abs(t_m.E_b - t_o.E_b).max() < 1e-8
+        overlap = np.vdot(t_m.final_state.amplitudes, t_o.final_state.amplitudes)
+        assert 1.0 - abs(overlap) ** 2 < 1e-10
+
+    def test_matches_oracle_at_production_size(self):
+        # the evolve-n8 point: joint dimension 8448
+        p = ModelParams(N=8, g=0.5, Omega=1.0, eta=0.8)
+        cfg = PropagationConfig(t_max=0.5, dt=1e-3, sample_stride=10)
+        t_m = propagate(p, cfg)
+        t_o = oracle_propagate(p, cfg)
+        assert p.dims.total_dim == 8448
         assert np.array_equal(t_m.times, t_o.times)
         assert np.abs(t_m.E_b - t_o.E_b).max() < 1e-8
         overlap = np.vdot(t_m.final_state.amplitudes, t_o.final_state.amplitudes)
@@ -211,9 +230,19 @@ class TestPropagate:
             propagate(p, PropagationConfig(t_max=1.0, dt=0.1, max_dim=500))
 
     def test_oracle_dimension_cap(self):
-        p = ModelParams(N=8, N_ph=200)  # 256 * 201 > 4096
+        p = ModelParams(N=4, N_ph=100)  # 16 * 101 > max_dim
         with pytest.raises(ResourceError):
-            oracle_propagate(p, PropagationConfig(t_max=1.0, dt=0.1))
+            oracle_propagate(p, PropagationConfig(t_max=1.0, dt=0.1, max_dim=500))
+
+    def test_oracle_solver_failure_raises(self, monkeypatch):
+        class Failed:
+            success = False
+            message = "step size fell below the spacing of floats"
+
+        monkeypatch.setattr(scipy.integrate, "solve_ivp", lambda *args, **kwargs: Failed())
+        p = ModelParams(N=1, g=0.3, N_ph=2, n_init=1)
+        with pytest.raises(NumericalError, match="DOP853 failed"):
+            oracle_propagate(p, PropagationConfig(t_max=0.5, dt=1e-2, sample_stride=10))
 
     def test_norm_drift_guard(self):
         p = ModelParams(N=1, N_ph=1, n_init=0)
