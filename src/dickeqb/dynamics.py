@@ -33,11 +33,13 @@ nonzero.
 |g...g> x |n_init> and every term of the Hamiltonian are unchanged by the
 site reflection i -> N+1-i (the dipole couplings depend on |i-j| alone), so
 the state never leaves the span of P = V x I_b, V the spin isometry of
-``model.reflection_isometry``.  The stepper works on the projections P' M P
-of its operators, about half the dimension and kernel nonzeros of the full
-space at N >= 5, with the same step plan; each sample is lifted back to the
-full joint basis before the observables are taken.  ``step_magnus4`` acts on
-the full space, so it stays exact on any state.
+``model.reflection_isometry``.  The stepper asks the model builders for its
+operators in that sector, where they are assembled from the spin terms
+V' S V and equal P' M P; no full-space operator is built.  That is about
+half the dimension and kernel nonzeros of the full space at N >= 5, with
+the same step plan; each sample is lifted back to the full joint basis
+before the observables are taken.  ``step_magnus4`` acts on the full space,
+so it stays exact on any state.
 
 ``propagate`` also takes a batch: parameter sets that share the time
 dependence (Omega, omegad and T), such as the N = 1..6 points of a sweep
@@ -85,6 +87,7 @@ from dickeqb.model import (
     initial_state,
     nested_commutators,
     reflection_isometry,
+    release_term_tables,
 )
 from dickeqb.operators import StateVector
 
@@ -264,24 +267,15 @@ def _batch(params) -> tuple:
     return batch
 
 
-def _block_operators(params: ModelParams, basis):
+def _block_operators(params: ModelParams, space: str):
     """H_on, H_b, a'+a, C, the static nested commutator and the diagonal of
-    the drive one, for one parameter set, projected to P' M P when an
-    isometry ``basis`` P is given.  The full-space operators are dropped on
-    return."""
-    basis_t = None if basis is None else basis.T.tocsr()
-
-    def project(mat):
-        return mat if basis is None else basis_t @ mat @ basis
-
-    h_full = build_H_battery(params).mat
-    a_on = project(h_full + build_H_static(params).mat)
-    h_batt = project(h_full)
-    drive = project(drive_operator(params).mat)
-    commutator = project(drive_commutator(params).mat)
-    with_static, with_drive = nested_commutators(params)
-    return (a_on, h_batt, drive, commutator, project(with_static.mat),
-            project(with_drive.mat).diagonal())
+    the drive one, for one parameter set, assembled in ``space``."""
+    h_batt = build_H_battery(params, space).mat
+    a_on = h_batt + build_H_static(params, space).mat
+    drive = drive_operator(params, space).mat
+    commutator = drive_commutator(params, space).mat
+    with_static, with_drive = nested_commutators(params, space)
+    return a_on, h_batt, drive, commutator, with_static.mat, with_drive.mat.diagonal()
 
 
 def _stack(mats):
@@ -312,21 +306,23 @@ class _Stepper:
     count of an interval from the per-block local error estimates of
     ``local_error``.
 
-    With isometries ``bases`` (one real joint-space matrix P with P'P = I per
-    block) every operator is projected once to P' M P and the stepper acts
-    on coordinates in the range of P; that is exact for states in the range
-    when it is invariant under every operator.  Without them it acts on the
-    full joint space.
+    ``space`` is where every block's operators are assembled: the full
+    joint space, or the reflection-even sector, whose coordinates the
+    stepper then acts on.  The sector is exact for states in it, which no
+    operator leaves.
     """
 
-    def __init__(self, params, bases=None):
+    def __init__(self, params, space: str = "full"):
         self.params = params
         batch = _batch(params)
         # The blocks share the time dependence, so the first one's drive
         # coefficient is every block's.
         self.clock = batch[0]
-        parts = [_block_operators(p, b)
-                 for p, b in zip(batch, bases or (None,) * len(batch))]
+        parts = [_block_operators(p, space) for p in batch]
+        # Each block is assembled once, and a term table held through the
+        # rest of the construction and the stepping would sit at the
+        # memory peak, so drop the tables here.
+        release_term_tables()
         a_on, h_batt, drive, commutator, comm_static = (
             _stack([part[i] for part in parts]) for i in range(5))
         edges = np.cumsum([0] + [part[0].shape[0] for part in parts])
@@ -448,7 +444,8 @@ class _Stepper:
 
 
 class _Sector:
-    """The reflection-even sector of the joint space, spanned by P = V x I_b.
+    """Maps between the full joint space and its reflection-even sector,
+    spanned by P = V x I_b.
 
     V is the spin isometry of ``reflection_isometry``.  Sector coordinate
     c * boson_dim + n lifts to weight * x on the joint indices of the
@@ -459,7 +456,7 @@ class _Sector:
     def __init__(self, params: ModelParams):
         iso = reflection_isometry(params.N).tocsc()
         boson_dim = params.dims.boson_dim
-        self.basis = sp.kron(iso, sp.identity(boson_dim), format="csr")
+        self.total_dim = params.dims.total_dim
         photons = np.arange(boson_dim)
         first, last = iso.indptr[:-1], iso.indptr[1:] - 1
         self.reps = (iso.indices[first, None] * boson_dim + photons).ravel()
@@ -472,7 +469,7 @@ class _Sector:
 
     def lift(self, amps: np.ndarray) -> np.ndarray:
         """P amps, a vector on the full joint basis."""
-        out = np.zeros(self.basis.shape[0], dtype=np.complex128)
+        out = np.zeros(self.total_dim, dtype=np.complex128)
         scaled = self.weights * amps
         out[self.reps] = scaled
         out[self.mirrors] = scaled
@@ -632,7 +629,7 @@ def _magnus4_batch(batch, cfg: PropagationConfig) -> list:
     for p in batch:
         _check_dim(p, cfg.max_dim)
     sectors = [_Sector(p) for p in batch]
-    stepper = _Stepper(batch, [sector.basis for sector in sectors])
+    stepper = _Stepper(batch, "even")
     states0 = [initial_state(p) for p in batch]
     recorders = [_Recorder(p, state0) for p, state0 in zip(batch, states0)]
     lifts = list(zip(recorders, sectors, stepper.blocks))

@@ -5,6 +5,19 @@ charger).  The charger Hamiltonian holds the cavity energy, the collective
 coupling 2g(a'+a)J_x, the distance-dependent atomic flip-flop couplings and
 a cosine drive on the cavity quadrature.  Everything is expressed in units
 of the atomic splitting omega0 (hbar = 1).
+
+Every operator below is assembled the same way.  A read-only term table,
+cached per (N, N_ph, space), holds each term spin factor x boson factor of
+TERMS: the spin factors J_z, J_x and the flip-flop distance sums F_d of
+``_spin_terms`` and the identity, restricted to V' S V in the
+reflection-even sector (V = ``reflection_isometry``); the boson factors I,
+a'a, a'+a, a'-a and P = [a, a'].  All terms sit on one CSR pattern, the
+union of theirs, so one parameter set's operator is a coefficient
+combination of term data; its nonzeros become a new matrix, which the
+Hermitian check of SparseOperator then verifies.  Repeated assemblies at
+one (N, N_ph), such as a phase diagram's points, build no Kronecker
+product, and an operator asked for in the sector is never formed in the
+full space.  ``release_term_tables`` drops the cached tables.
 """
 
 from __future__ import annotations
@@ -141,11 +154,16 @@ class SpinTerms(NamedTuple):
     flip_flops: tuple
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
 def _frozen(mat) -> sp.csr_matrix:
     out = sp.csr_matrix(mat.real, copy=True)
     out.sum_duplicates()
     for arr in (out.data, out.indices, out.indptr):
-        arr.flags.writeable = False
+        _read_only(arr)
     return out
 
 
@@ -206,13 +224,131 @@ def reflection_isometry(n_atoms: int) -> sp.csr_matrix:
     return _frozen(mat)
 
 
-def build_H_battery(params: ModelParams) -> SparseOperator:
+@lru_cache(maxsize=16)
+def _even_spin_terms(n_atoms: int) -> SpinTerms:
+    """V' S V for every matrix S of ``_spin_terms``, V = ``reflection_isometry``:
+    the spin terms on the reflection-even sector, read-only like them.
+
+    Exact because every S commutes with the site reflection (the couplings
+    depend on |i-j| alone).
+    """
+    v = reflection_isometry(n_atoms)
+    full = _spin_terms(n_atoms)
+
+    def restrict(mat):
+        return _frozen(v.T @ mat @ v)
+
+    return SpinTerms(
+        jz=restrict(full.jz),
+        jx=restrict(full.jx),
+        flip_flops=tuple(restrict(f_d) for f_d in full.flip_flops),
+    )
+
+
+def _boson_factors(boson_dim: int) -> dict:
+    """Real cavity factors of the terms on the Fock space 0..N_ph: I, a'a,
+    a'+a, a'-a and P = [a, a'] = diag(1, ..., 1, -N_ph)."""
+    a = ops.boson_matrix("annihilate", boson_dim)
+    a_dag = a.conjugate().T
+    factors = {
+        "1": sp.identity(boson_dim),
+        "a'a": a_dag @ a,
+        "a'+a": a + a_dag,
+        "a'-a": a_dag - a,
+        "P": a @ a_dag - a_dag @ a,
+    }
+    return {name: _frozen(mat) for name, mat in factors.items()}
+
+
+# Terms (spin factor, boson factor) that the operators below combine; "1"
+# is an identity, and F<d> = flip_flops[d - 1] adds one term per distance.
+TERMS = (("Jz", "1"), ("1", "a'a"), ("Jx", "a'+a"), ("1", "a'+a"), ("1", "a'-a"),
+         ("Jx", "P"), ("1", "P"))
+
+
+class _TermTable(NamedTuple):
+    """The terms of one (N, N_ph, space) on one CSR pattern, the union of
+    theirs.  ``terms`` maps a term to (spin factor, boson factor, positions):
+    its Kronecker product's k-th stored entry, the product of the factors'
+    data at k // B.nnz and k % B.nnz, sits at positions[k] of the pattern's
+    data."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    terms: dict
+
+
+@lru_cache(maxsize=8)
+def _term_table(n_atoms: int, n_photon_max: int, space: str) -> _TermTable:
+    """The term table of one (N, N_ph, space), built once.
+
+    A term is kron(spin factor, boson factor), with the spin factors of
+    ``_spin_terms`` in the full space and of ``_even_spin_terms`` in the
+    even sector, whose spin identity is exact.  Only the positions are
+    stored per entry; the values are the factors' products.  Every caller
+    shares the table, so its arrays are read-only.
+    """
+    spin = _spin_terms(n_atoms) if space == "full" else _even_spin_terms(n_atoms)
+    spin_factors = {"1": _frozen(sp.identity(spin.jz.shape[0])), "Jz": spin.jz, "Jx": spin.jx}
+    spin_factors.update((f"F{d}", f_d) for d, f_d in enumerate(spin.flip_flops, start=1))
+    boson = _boson_factors(n_photon_max + 1)
+    dim = spin.jz.shape[0] * (n_photon_max + 1)
+    keys = TERMS + tuple((f"F{d}", "1") for d in range(1, len(spin.flip_flops) + 1))
+    flats = {}
+    for s_key, b_key in keys:
+        term = sp.kron(spin_factors[s_key], boson[b_key], format="coo")
+        flats[s_key, b_key] = term.row.astype(np.int64) * dim + term.col
+    # Row-major linear positions; sorted, they are the CSR order.
+    union = np.sort(np.concatenate(list(flats.values())))
+    union = union[np.concatenate(([True], union[1:] != union[:-1]))]
+    return _TermTable(
+        indptr=_read_only(np.searchsorted(union, np.arange(dim + 1) * dim).astype(np.int32)),
+        indices=_read_only((union % dim).astype(np.int32)),
+        terms={(s_key, b_key): (spin_factors[s_key], boson[b_key],
+                                _read_only(np.searchsorted(union, flat).astype(np.int32)))
+               for (s_key, b_key), flat in flats.items()},
+    )
+
+
+def release_term_tables() -> None:
+    """Drop every cached term table; the next assembly builds its table again."""
+    _term_table.cache_clear()
+
+
+def _assemble(params: ModelParams, space: str, coefficients,
+              hermitian: bool = False) -> SparseOperator:
+    """The operator sum of coefficient * term over ``coefficients``, a list of
+    (term, coefficient) pairs, in ``space`` ("full" or "even").
+
+    The sum is formed on the table's pattern and its nonzeros, the entries a
+    sparse sum of the terms would keep, become a new matrix that shares no
+    array with the table.
+    """
+    dim = params.dims.space_dim(space)
+    table = _term_table(params.N, params.photon_cutoff, space)
+    data = np.zeros(len(table.indices))
+    for key, coefficient in coefficients:
+        if coefficient != 0.0:
+            spin, boson, positions = table.terms[key]
+            data[positions] += coefficient * np.multiply.outer(spin.data, boson.data).ravel()
+    mat = sp.csr_matrix((data, table.indices.copy(), table.indptr.copy()), shape=(dim, dim))
+    mat.eliminate_zeros()
+    return SparseOperator(params.dims, mat, hermitian=hermitian, space=space)
+
+
+def _static_terms(params: ModelParams) -> list:
+    """(term, coefficient) pairs of H_static."""
+    flip_flops = [((f"F{d}", "1"), dipole_coupling(1, 1 + d, params))
+                  for d in range(1, min(COUPLING_CUTOFF, params.N - 1) + 1)]
+    return [(("1", "a'a"), params.omegac), (("Jx", "a'+a"), 2.0 * params.g), *flip_flops]
+
+
+def build_H_battery(params: ModelParams, space: str = "full") -> SparseOperator:
     """Battery Hamiltonian omega0 * J_z (tensored with the cavity identity)."""
-    mat = ops.spin_to_joint(params.omega0 * _spin_terms(params.N).jz, params.dims)
-    return SparseOperator(params.dims, mat, hermitian=True)
+    return _assemble(params, space, [(("Jz", "1"), params.omega0)], hermitian=True)
 
 
-def build_H_static(params: ModelParams) -> SparseOperator:
+def build_H_static(params: ModelParams, space: str = "full") -> SparseOperator:
     """Static part of the charger: cavity + collective coupling + flip-flops.
 
     omega_c a'a + 2g(a'+a)J_x + sum_{i<j} eta_ij (s_i^- s_j^+ + s_j^- s_i^+).
@@ -220,46 +356,26 @@ def build_H_static(params: ModelParams) -> SparseOperator:
     flip-flop part is sum_d eta_{1,1+d} F_d over the cached distance sums
     F_d of ``_spin_terms``; the three terms have disjoint supports.
     """
-    dims = params.dims
-    terms = _spin_terms(dims.n_atoms)
-    a = ops.boson_matrix("annihilate", dims.boson_dim)
-    quad = a + a.conjugate().T
-    number = (a.conjugate().T @ a).tocsr()
-
-    mat = ops.boson_to_joint(params.omegac * number, dims)
-    mat = mat + 2.0 * params.g * sp.kron(terms.jx, quad, format="csr")
-    flip_flop = sp.csr_matrix((dims.spin_dim, dims.spin_dim))
-    for d, f_d in enumerate(terms.flip_flops, start=1):
-        coupling = dipole_coupling(1, 1 + d, params)
-        if coupling != 0.0:
-            flip_flop = flip_flop + coupling * f_d
-    if flip_flop.nnz:
-        mat = mat + ops.spin_to_joint(flip_flop, dims)
-    return SparseOperator(dims, mat, hermitian=True)
+    return _assemble(params, space, _static_terms(params), hermitian=True)
 
 
-def drive_operator(params: ModelParams) -> SparseOperator:
-    """Cavity quadrature a' + a on the joint space (the drive couples to it)."""
-    a = ops.boson_matrix("annihilate", params.dims.boson_dim)
-    return SparseOperator(
-        params.dims, ops.boson_to_joint(a + a.conjugate().T, params.dims), hermitian=True
-    )
+def drive_operator(params: ModelParams, space: str = "full") -> SparseOperator:
+    """Cavity quadrature a' + a (the drive couples to it)."""
+    return _assemble(params, space, [(("1", "a'+a"), 1.0)], hermitian=True)
 
 
-def drive_commutator(params: ModelParams) -> SparseOperator:
-    """Commutator [H_b + H_static, a' + a] = omega_c (a' - a) on the joint space.
+def drive_commutator(params: ModelParams, space: str = "full") -> SparseOperator:
+    """Commutator [H_b + H_static, a' + a] = omega_c (a' - a).
 
     Only the cavity energy fails to commute with the drive quadrature, and
     the truncated number operator is exactly diag(0..N_ph), so the identity
     holds on the truncated space too.  The result is anti-Hermitian.
     """
-    a = ops.boson_matrix("annihilate", params.dims.boson_dim)
-    return SparseOperator(
-        params.dims, ops.boson_to_joint(params.omegac * (a.conjugate().T - a), params.dims)
-    )
+    return _assemble(params, space, [(("1", "a'-a"), params.omegac)])
 
 
-def nested_commutators(params: ModelParams) -> tuple[SparseOperator, SparseOperator]:
+def nested_commutators(params: ModelParams,
+                       space: str = "full") -> tuple[SparseOperator, SparseOperator]:
     """[H_b + H_static, C] and [a' + a, C] for C = ``drive_commutator``.
 
     With P = [a, a'] = diag(1, ..., 1, -N_ph) on the truncated Fock space
@@ -268,18 +384,10 @@ def nested_commutators(params: ModelParams) -> tuple[SparseOperator, SparseOpera
     fail to commute with C.  Both are built from the boson factor and J_x,
     never from products of joint-space matrices.
     """
-    dims = params.dims
-    a = ops.boson_matrix("annihilate", dims.boson_dim)
-    quad = a + a.conjugate().T
-    ladder = (a @ a.conjugate().T - a.conjugate().T @ a).tocsr()
-    jx = _spin_terms(dims.n_atoms).jx
-    with_static = ops.boson_to_joint(params.omegac**2 * quad, dims)
-    if params.g != 0.0:
-        with_static = with_static + 4.0 * params.g * params.omegac * sp.kron(
-            jx, ladder, format="csr"
-        )
-    with_drive = ops.boson_to_joint(2.0 * params.omegac * ladder, dims)
-    return SparseOperator(dims, with_static), SparseOperator(dims, with_drive)
+    with_static = _assemble(params, space, [(("1", "a'+a"), params.omegac**2),
+                                            (("Jx", "P"), 4.0 * params.g * params.omegac)])
+    with_drive = _assemble(params, space, [(("1", "P"), 2.0 * params.omegac)])
+    return with_static, with_drive
 
 
 def drive_coefficient(t: float, params: ModelParams) -> float:
@@ -307,7 +415,8 @@ def hamiltonian_at(t: float, params: ModelParams) -> SparseOperator:
 
 def static_hamiltonian(params: ModelParams) -> SparseOperator:
     """Undriven total Hamiltonian H_b + H_static (used by the ground-state solver)."""
-    return build_H_battery(params) + build_H_static(params)
+    return _assemble(params, "full", [(("Jz", "1"), params.omega0), *_static_terms(params)],
+                     hermitian=True)
 
 
 def initial_state(params: ModelParams) -> StateVector:

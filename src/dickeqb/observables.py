@@ -5,7 +5,7 @@ evaluated from cached diagonals in O(dim) per sample instead of sparse
 matvecs.  The ground-state solver for the (eta, g) phase diagram lives here
 as well; it solves a Hamiltonian with all-real entries, as the model's are,
 in real symmetric arithmetic.  The model builds those Hamiltonians from
-spin-space terms it caches per atom count N.
+the term table it caches per (N, N_ph).
 """
 
 from __future__ import annotations

@@ -5,6 +5,10 @@ the joint index is ``spin_index * boson_dim + photon_number``.  The spin
 index is the big-endian bit string over sites 1..N, bit value 1 = excited
 |e>, bit value 0 = ground |g>; site 1 owns the most significant bit.  With
 this ordering the partial trace over the cavity is a contiguous-block sum.
+
+An operator lives in one of SPACES: the ``full`` joint space, or the
+``even`` sector of the states unchanged by the site reflection i -> N+1-i,
+whose basis ``model.reflection_isometry`` defines.  States are always full.
 """
 
 from __future__ import annotations
@@ -19,6 +23,8 @@ from dickeqb.errors import ContractError, DomainError, NumericalError
 HERMITIAN_ATOL = 1e-12
 NORM_ATOL = 1e-10
 IMAG_RESIDUE_LIMIT = 1e-8
+
+SPACES = ("full", "even")
 
 # Single-site matrices in the (|g>, |e>) basis.  sigma_z is diag(-1, +1) so
 # that the all-ground register has J_z = -N/2.
@@ -56,21 +62,34 @@ class HilbertDims:
     def total_dim(self) -> int:
         return self.spin_dim * self.boson_dim
 
+    def space_dim(self, space: str) -> int:
+        """Dimension of the full joint space or of its reflection-even sector.
+
+        The even sector's spin part holds one state per palindrome and per
+        mirror pair of spin indices: (2^N + 2^ceil(N/2)) / 2 of them.
+        """
+        if space == "full":
+            return self.total_dim
+        if space == "even":
+            return (self.spin_dim + 2 ** ((self.n_atoms + 1) // 2)) // 2 * self.boson_dim
+        raise DomainError(f"space must be one of {SPACES}, got {space!r}")
+
 
 class SparseOperator:
-    """Complex sparse matrix on the joint space, tagged with its dimensions.
+    """Complex sparse matrix on one of SPACES, tagged with its dimensions.
 
     Treated as immutable after construction; safe to share across workers.
     When ``hermitian=True`` the matrix is verified entrywise at construction.
     """
 
-    __slots__ = ("dims", "mat", "hermitian")
+    __slots__ = ("dims", "mat", "hermitian", "space")
 
-    def __init__(self, dims: HilbertDims, mat, hermitian: bool = False):
+    def __init__(self, dims: HilbertDims, mat, hermitian: bool = False, space: str = "full"):
         mat = sp.csr_matrix(mat, dtype=np.complex128)
-        if mat.shape != (dims.total_dim, dims.total_dim):
+        dim = dims.space_dim(space)
+        if mat.shape != (dim, dim):
             raise DomainError(
-                f"matrix shape {mat.shape} does not match total_dim {dims.total_dim}"
+                f"matrix shape {mat.shape} does not match the {space} dimension {dim}"
             )
         mat.sum_duplicates()
         mat.sort_indices()
@@ -84,6 +103,7 @@ class SparseOperator:
         self.dims = dims
         self.mat = mat
         self.hermitian = hermitian
+        self.space = space
 
     @property
     def nnz(self) -> int:
@@ -98,12 +118,13 @@ class SparseOperator:
     def _combine(self, other: "SparseOperator", sign: float) -> "SparseOperator":
         if not isinstance(other, SparseOperator):
             return NotImplemented
-        if other.dims != self.dims:
+        if (other.dims, other.space) != (self.dims, self.space):
             raise DomainError("dimension mismatch in operator arithmetic")
         return SparseOperator(
             self.dims,
             self.mat + sign * other.mat,
             hermitian=self.hermitian and other.hermitian,
+            space=self.space,
         )
 
     def __add__(self, other):
@@ -118,6 +139,7 @@ class SparseOperator:
             self.dims,
             self.mat * scalar,
             hermitian=self.hermitian and scalar.imag == 0.0,
+            space=self.space,
         )
 
     __rmul__ = __mul__
@@ -212,7 +234,7 @@ def build_boson(kind: str, dims: HilbertDims) -> SparseOperator:
 
 def expectation(state: StateVector, op: SparseOperator) -> float:
     """<psi| op |psi> for a Hermitian operator; the imaginary residue is checked."""
-    if state.dims != op.dims:
+    if state.dims != op.dims or op.space != "full":
         raise DomainError("state and operator dimensions differ")
     if not op.hermitian:
         raise ContractError("expectation requires an operator tagged Hermitian")

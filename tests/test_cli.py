@@ -408,11 +408,13 @@ class TestParser:
 
     def test_import_leaves_out_scipy_integrate(self):
         # scipy.integrate serves only the oracle; importing it with the CLI
-        # would add ~0.3 s to every start.
+        # would add ~0.3 s to every start.  Nor does the import assemble:
+        # the model's term tables are built on first use.
         src = str(Path(cli.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        code = "import sys, dickeqb.cli; print('scipy.integrate' in sys.modules)"
+        code = ("import sys, dickeqb.cli; from dickeqb import model; "
+                "print('scipy.integrate' in sys.modules, model._term_table.cache_info().currsize)")
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True).stdout
-        assert out.strip() == "False"
+        assert out.split() == ["False", "0"]

@@ -7,7 +7,7 @@ import scipy.integrate
 import scipy.linalg
 import scipy.sparse
 
-from dickeqb import dynamics
+from dickeqb import dynamics, model
 from dickeqb.dynamics import (
     MAGNUS_TOL,
     CsrExpm,
@@ -518,10 +518,31 @@ class TestBatch:
         with pytest.raises(DomainError):
             propagate([], self.CFG)
 
-    def test_dimension_cap_per_block(self):
+    def test_steps_without_a_cached_term_table(self, monkeypatch):
+        # each block is assembled once, so no table is held through the stepping
+        cached = []
+        advance = _Stepper.advance
+
+        def recording(self, *args):
+            cached.append(model._term_table.cache_info().currsize)
+            return advance(self, *args)
+
+        monkeypatch.setattr(_Stepper, "advance", recording)
+        batch = [ModelParams(N=n, g=0.5, Omega=1.0, eta=0.8, N_ph=3) for n in (2, 3)]
+        propagate(batch, PropagationConfig(t_max=0.2, dt=0.05, sample_stride=2))
+        assert cached and set(cached) == {0}
+
+    def test_dimension_cap_per_block(self, monkeypatch):
+        # max_dim bounds each block's full joint dimension, checked before
+        # any block is assembled
+        built = []
+        for name in ("build_H_battery", "build_H_static", "drive_operator",
+                     "drive_commutator", "nested_commutators"):
+            monkeypatch.setattr(dynamics, name, lambda *args, name=name: built.append(name))
         small, large = ModelParams(N=1, N_ph=2), ModelParams(N=4, N_ph=100)
         with pytest.raises(ResourceError):
             propagate([small, large], PropagationConfig(t_max=1.0, dt=0.1, max_dim=500))
+        assert built == []
 
 
 def _fixed_step_sample_times(cfg):

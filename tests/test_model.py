@@ -21,8 +21,15 @@ from dickeqb.model import (
     reflection_isometry,
     static_hamiltonian,
     _spin_terms,
+    _term_table,
 )
-from dickeqb.operators import build_boson, build_collective_spin, expectation, site_operator
+from dickeqb.operators import (
+    build_boson,
+    build_collective_spin,
+    build_pauli,
+    expectation,
+    site_operator,
+)
 
 
 class TestModelParams:
@@ -179,6 +186,18 @@ def pair_loop_hamiltonians(params):
     return h_b, h_static
 
 
+def pauli_drive_operators(params):
+    """Reference a'+a, C and the nested commutators from ``build_pauli`` and
+    ``build_boson``, on the joint space."""
+    dims, wc = params.dims, params.omegac
+    a = build_boson("annihilate", dims).mat
+    a_dag = build_boson("create", dims).mat
+    jx = 0.5 * sum(build_pauli(i, "x", dims).mat for i in range(1, params.N + 1))
+    ladder = a @ a_dag - a_dag @ a
+    return (a + a_dag, wc * (a_dag - a),
+            wc**2 * (a + a_dag) + 4.0 * params.g * wc * (jx @ ladder), 2.0 * wc * ladder)
+
+
 def max_deviation(op, ref):
     diff = (op.mat - ref).tocsr()
     return np.abs(diff.data).max() if diff.nnz else 0.0
@@ -190,15 +209,39 @@ REFERENCE_CASES = [
 ]
 
 
+def reference_params(n_atoms, mode, case):
+    """The instance of a reference case: "coupled" (g = 0.4, N_ph = 3),
+    "uncoupled" (g = 0) or "short cutoff" (N_ph = N - 1 < N)."""
+    g, n_ph = {"coupled": (0.4, 3), "uncoupled": (0.0, 3),
+               "short cutoff": (0.4, n_atoms - 1)}[case]
+    return ModelParams(N=n_atoms, g=g, omega0=1.3, omegac=0.9, N_ph=n_ph, n_init=0, **mode)
+
+
+REFERENCE_INSTANCES = ("coupled", "uncoupled", "short cutoff")
+
+
+def assert_matches_references(p):
+    h_b, h_static = pair_loop_hamiltonians(p)
+    assert max_deviation(build_H_battery(p), h_b) <= 1e-14
+    assert max_deviation(build_H_static(p), h_static) <= 1e-14
+    assert max_deviation(static_hamiltonian(p), h_b + h_static) <= 1e-14
+    built = (drive_operator(p), drive_commutator(p), *nested_commutators(p))
+    for op, ref in zip(built, pauli_drive_operators(p)):
+        assert max_deviation(op, ref) <= 1e-14
+
+
 class TestAgainstPairLoop:
-    @pytest.mark.parametrize("n_atoms", range(1, 7))
+    @pytest.mark.parametrize("n_atoms", range(1, 8))
     @pytest.mark.parametrize("mode", REFERENCE_CASES, ids=["direct", "geometric"])
     def test_matches_pair_loop(self, n_atoms, mode):
         # N=6 has a pair at distance 5, beyond COUPLING_CUTOFF
-        p = ModelParams(N=n_atoms, g=0.4, omega0=1.3, omegac=0.9, N_ph=3, n_init=0, **mode)
-        h_b, h_static = pair_loop_hamiltonians(p)
-        assert max_deviation(build_H_battery(p), h_b) <= 1e-14
-        assert max_deviation(build_H_static(p), h_static) <= 1e-14
+        assert_matches_references(reference_params(n_atoms, mode, "coupled"))
+
+    @pytest.mark.parametrize("n_atoms", range(1, 8))
+    @pytest.mark.parametrize("mode", REFERENCE_CASES, ids=["direct", "geometric"])
+    @pytest.mark.parametrize("case", ["uncoupled", "short cutoff"])
+    def test_edge_instances_match_pair_loop(self, n_atoms, mode, case):
+        assert_matches_references(reference_params(n_atoms, mode, case))
 
     def test_cache_holds_no_parameters(self):
         first = ModelParams(N=4, g=1.1, eta=-0.3, omega0=0.7, N_ph=2, n_init=0)
@@ -214,6 +257,40 @@ class TestAgainstPairLoop:
             _spin_terms(3).flip_flops[0].data[0] = 2.0
 
 
+class TestTermTable:
+    @pytest.mark.parametrize("space", ["full", "even"])
+    def test_table_is_read_only(self, space):
+        table = _term_table(3, 2, space)
+        spin, boson, positions = table.terms[("Jx", "a'+a")]
+        for arr in (table.indptr, table.indices, positions, spin.data, boson.data):
+            with pytest.raises(ValueError):
+                arr[0] = 1
+
+    @pytest.mark.parametrize("space", ["full", "even"])
+    def test_operators_share_no_array_with_the_table(self, space):
+        p = ModelParams(N=3, g=0.6, eta=-0.4, N_ph=2, n_init=0)
+        table = _term_table(p.N, p.photon_cutoff, space)
+        mat = build_H_static(p, space).mat
+        cached = [table.indptr, table.indices,
+                  *(a for spin, boson, positions in table.terms.values()
+                    for a in (spin.data, boson.data, positions))]
+        for arr in (mat.data, mat.indices, mat.indptr):
+            assert not any(np.shares_memory(arr, c) for c in cached)
+
+    @pytest.mark.parametrize("space", ["full", "even"])
+    def test_in_place_edits_leave_the_next_assembly_unchanged(self, space):
+        # one shared pattern edited in place would corrupt every later build
+        p = ModelParams(N=4, g=0.5, eta=0.3, N_ph=3, n_init=0)
+        want = build_H_static(p, space).mat.copy()
+        edited = build_H_static(p, space).mat
+        edited.data *= 2
+        edited.data[::3] = 0.0
+        edited.eliminate_zeros()
+        got = build_H_static(p, space).mat
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.data, want.data)
+
 
 def site_reflection(n_atoms):
     """Permutation matrix of the site reflection i -> N+1-i on the spin basis."""
@@ -226,7 +303,7 @@ class TestSiteReflection:
     @pytest.mark.parametrize("n_atoms", range(1, 8))
     @pytest.mark.parametrize("mode", REFERENCE_CASES, ids=["direct", "geometric"])
     def test_stepper_operators_commute(self, n_atoms, mode):
-        # every operator the magnus4 stepper projects onto the even sector
+        # every operator the magnus4 stepper assembles in the even sector
         p = ModelParams(N=n_atoms, g=0.4, omega0=1.3, omegac=0.9, N_ph=3, n_init=0, **mode)
         r = sp.kron(site_reflection(n_atoms), sp.identity(p.dims.boson_dim), format="csr")
         operators = (build_H_battery(p), build_H_static(p), drive_operator(p),
@@ -234,6 +311,24 @@ class TestSiteReflection:
         for op in operators:
             defect = r @ op.mat - op.mat @ r
             assert (abs(defect).max() if defect.nnz else 0.0) <= 1e-14
+
+    @pytest.mark.parametrize("n_atoms", range(1, 8))
+    @pytest.mark.parametrize("mode", REFERENCE_CASES, ids=["direct", "geometric"])
+    @pytest.mark.parametrize("case", REFERENCE_INSTANCES)
+    def test_sector_operators_are_projections(self, n_atoms, mode, case):
+        # built in the sector from V' S V, equal to P' M P with P = V x I_b
+        p = reference_params(n_atoms, mode, case)
+        basis = sp.kron(reflection_isometry(n_atoms), sp.identity(p.dims.boson_dim), format="csr")
+        dim = p.dims.space_dim("even")
+        assert basis.shape == (p.dims.total_dim, dim)
+        builders = (build_H_battery, build_H_static, drive_operator, drive_commutator,
+                    lambda q, space="full": nested_commutators(q, space)[0],
+                    lambda q, space="full": nested_commutators(q, space)[1])
+        for build in builders:
+            sector, full = build(p, "even"), build(p)
+            assert sector.space == "even" and sector.mat.shape == (dim, dim)
+            assert sector.hermitian == full.hermitian
+            assert max_deviation(sector, basis.T @ full.mat @ basis) <= 1e-14
 
     @pytest.mark.parametrize("n_atoms", range(1, 8))
     def test_isometry_onto_even_sector(self, n_atoms):

@@ -39,6 +39,19 @@ class TestHilbertDims:
         with pytest.raises(DomainError):
             HilbertDims(n_atoms, n_ph)
 
+    @pytest.mark.parametrize("n_atoms", range(1, 8))
+    def test_even_sector_dim(self, n_atoms):
+        # palindromes plus one state per mirror pair of spin indices
+        d = HilbertDims(n_atoms, 2)
+        mirrors = [int(format(s, f"0{n_atoms}b")[::-1], 2) for s in range(d.spin_dim)]
+        even = sum(1 for s, r in enumerate(mirrors) if s <= r)
+        assert d.space_dim("even") == even * d.boson_dim
+        assert d.space_dim("full") == d.total_dim
+
+    def test_unknown_space(self):
+        with pytest.raises(DomainError):
+            HilbertDims(2, 1).space_dim("odd")
+
 
 class TestPauli:
     def test_sigma_z_single_site(self):
@@ -230,6 +243,17 @@ class TestPartialTrace:
 
 
 class TestContainers:
+    def test_sector_operator_stays_in_its_space(self):
+        dims = HilbertDims(2, 1)  # even sector: 3 spin states x 2 photon levels
+        even = SparseOperator(dims, np.eye(6), hermitian=True, space="even")
+        assert (2.0 * even).space == (even + even).space == "even"
+        with pytest.raises(DomainError):
+            SparseOperator(dims, np.eye(8), space="even")
+        with pytest.raises(DomainError):
+            even + SparseOperator(dims, np.eye(8), hermitian=True)
+        with pytest.raises(DomainError):
+            expectation(basis_state(dims, 0, 0), even)
+
     def test_hermitian_flag_verified(self):
         dims = HilbertDims(1, 0)
         bad = np.array([[0, 1], [0, 0]], dtype=complex)
