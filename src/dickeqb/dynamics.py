@@ -25,9 +25,9 @@ scaled Taylor apply of Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011) 488,
 on SciPy's CSR matvec.  The kernel takes the step's scalar -i h apart from
 the matrix and multiplies it into the factor it applies to every Taylor
 term, so the matrix data never depend on h.  They live on one fixed CSR
-pattern: H_on or H_b as built, and for a driven step one work array that
-differs from H_on only on the ~2 dim entries where a'+a and a'-a are
-nonzero.
+pattern: H_on as built, and for a driven step one work array that differs
+from H_on only on the ~2 dim entries where a'+a and a'-a are nonzero.  With
+the charger off only the diagonal H_b acts, and a step is its exact phase.
 
 ``propagate`` steps in the reflection-even sector.  The initial state
 |g...g> x |n_init> and every term of the Hamiltonian are unchanged by the
@@ -89,7 +89,7 @@ from dickeqb.model import (
     reflection_isometry,
     release_term_tables,
 )
-from dickeqb.operators import StateVector
+from dickeqb.operators import StateVector, linear_keys, pattern_from_keys, union_keys
 
 # Gauss-Legendre nodes of one step and the weight of the node commutator in
 # the Magnus-4 exponent.
@@ -178,15 +178,18 @@ class Trajectory:
                 fh.write(",".join("%.12g" % x for x in row) + "\n")
 
 
-def _entries(mat, rows, cols) -> np.ndarray:
-    """Entries of ``mat`` at the distinct positions (rows, cols), which must
-    hold every nonzero of ``mat``."""
-    if len(rows):
-        data = np.asarray(mat[rows, cols], dtype=np.complex128).ravel()
-    else:  # SciPy gives a sparse matrix, not an array, for no positions
-        data = np.zeros(0, dtype=np.complex128)
-    if np.count_nonzero(data) != mat.count_nonzero():
+def _entries(mat, keys) -> np.ndarray:
+    """Entries of the canonical CSR ``mat`` at ``keys``, sorted distinct
+    row-major linear positions row * dim + col, which must hold every
+    nonzero of ``mat``."""
+    own = linear_keys(mat)
+    at = np.searchsorted(keys, own)
+    found = at < len(keys)
+    found[found] = keys[at[found]] == own[found]
+    if np.count_nonzero(mat.data[~found]):
         raise AssertionError("operator entries outside the positions read")
+    data = np.zeros(len(keys), dtype=np.complex128)
+    data[at[found]] = mat.data[found]
     return data
 
 
@@ -212,7 +215,7 @@ class CsrExpm:
         )
 
     def apply(self, data, v, scale: complex = 1.0, segments: int = 1,
-              blocks=None) -> np.ndarray:
+              blocks=None, first=None) -> np.ndarray:
         """exp(scale * M) @ v with M given by ``data`` on the bound pattern.
 
         exp(scale * M) is applied as ``segments`` factors
@@ -222,9 +225,10 @@ class CsrExpm:
         squared norm of the running result, and raises NumericalError after
         TAYLOR_MAX_TERMS terms.  For a block-diagonal M, ``blocks`` (slices
         of v) applies that test to every block against its own norm, and the
-        series stops once all pass; None treats v as one block.  Neither
-        ``v`` nor ``data`` is written: the first term's sum allocates the
-        result.
+        series stops once all pass; None treats v as one block.  ``first``,
+        M @ v when the caller already holds it, stands in for the first
+        segment's first matvec and is scaled in place.  Neither ``v`` nor
+        ``data`` is written: the first term's sum allocates the result.
         """
         mat = self._mat
         mat.data = np.ascontiguousarray(data, dtype=np.complex128)
@@ -234,7 +238,8 @@ class CsrExpm:
         for _ in range(segments):
             term = out
             for m in range(1, TAYLOR_MAX_TERMS + 1):
-                term = mat.dot(term)
+                term = mat.dot(term) if first is None else first
+                first = None
                 term *= scale / (segments * m)
                 if m == 1:
                     out = out + term
@@ -268,14 +273,16 @@ def _batch(params) -> tuple:
 
 
 def _block_operators(params: ModelParams, space: str):
-    """H_on, H_b, a'+a, C, the static nested commutator and the diagonal of
-    the drive one, for one parameter set, assembled in ``space``."""
+    """H_on, a'+a, C, the static nested commutator, and the diagonals of H_b
+    and of the drive nested commutator, for one parameter set, assembled in
+    ``space``."""
     h_batt = build_H_battery(params, space).mat
     a_on = h_batt + build_H_static(params, space).mat
     drive = drive_operator(params, space).mat
     commutator = drive_commutator(params, space).mat
     with_static, with_drive = nested_commutators(params, space)
-    return a_on, h_batt, drive, commutator, with_static.mat, with_drive.mat.diagonal()
+    return (a_on, drive, commutator, with_static.mat,
+            h_batt.diagonal().real, with_drive.mat.diagonal())
 
 
 def _stack(mats):
@@ -297,14 +304,21 @@ class _Stepper:
     drive coefficient c(t) is common to all blocks.
 
     The kernel applies exp(-i h M) with M on the union pattern of
-    H_on = H_b + H_static, H_b and the drive quadrature: ``data_on`` holds
-    H_on and ``data_off`` H_b, neither scaled by h.  A driven step writes
+    H_on = H_b + H_static and the drive quadrature.  Each operator's data
+    is aligned to that pattern by its row-major linear positions
+    row * dim + col: the union is their sorted merge, and an operator's
+    entries land where ``np.searchsorted`` finds its positions in it.
+    ``data_on`` holds H_on, not scaled by h.  A driven step writes
     H_on + c_mean (a'+a) + (i c_comm / h) omega_c (a' - a) into one work
     array that equals ``data_on`` elsewhere, rewriting only the drive
     positions, where the commutator also sits; the drive and commutator
     data are stored on those positions only.  ``advance`` picks the step
     count of an interval from the per-block local error estimates of
-    ``local_error``.
+    ``local_error``, and hands the H_on, a'+a and C products of that
+    estimate to the interval's first step, whose first Taylor term they
+    make up.  H_b = omega0 J_z x I is diagonal, in the full space and in
+    the sector, so a step with the charger off multiplies by the exact
+    phases exp(-i h diag(H_b)) and never calls the kernel.
 
     ``space`` is where every block's operators are assembled: the full
     joint space, or the reflection-even sector, whose coordinates the
@@ -323,48 +337,50 @@ class _Stepper:
         # rest of the construction and the stepping would sit at the
         # memory peak, so drop the tables here.
         release_term_tables()
-        a_on, h_batt, drive, commutator, comm_static = (
-            _stack([part[i] for part in parts]) for i in range(5))
+        a_on, drive, commutator, comm_static = (
+            _stack([part[i] for part in parts]) for i in range(4))
         edges = np.cumsum([0] + [part[0].shape[0] for part in parts])
         self.blocks = tuple(slice(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]))
         dim = a_on.shape[0]
-        pattern = (abs(a_on) + abs(h_batt) + abs(drive)).tocsr()
-        pattern.sort_indices()
-        rows = np.repeat(np.arange(dim), np.diff(pattern.indptr))
-        cols = pattern.indices
-        self.data_on = _entries(a_on, rows, cols)
-        self.data_off = _entries(h_batt, rows, cols)
-        self.drive_pos = np.flatnonzero(abs(drive)[rows, cols])
-        at_drive = rows[self.drive_pos], cols[self.drive_pos]
-        self.drive_data = _entries(drive, *at_drive)
-        self.comm_data = _entries(commutator, *at_drive)
+        drive_keys = linear_keys(drive)
+        keys = union_keys(linear_keys(a_on), drive_keys)
+        self.data_on = _entries(a_on, keys)
+        self.drive_pos = np.searchsorted(keys, drive_keys)
+        self.drive_data = _entries(drive, drive_keys)
+        self.comm_data = _entries(commutator, drive_keys)
         self.on_at_drive = self.data_on[self.drive_pos]
         self.work = None  # H_on with the drive terms of the last driven step
         # Per-block infinity norms: the stacked exponent's is their maximum.
-        self.norm_on, self.norm_off, self.norm_drive, self.norm_comm = (
-            np.array([_inf_norm(part[i]) for part in parts]) for i in (0, 1, 2, 3))
+        self.norm_on, self.norm_drive, self.norm_comm = (
+            np.array([_inf_norm(part[i]) for part in parts]) for i in (0, 1, 2))
         # The Taylor stop tests the block with the largest H_on first, the
         # one that is slowest to converge.
         self.stop_order = tuple(self.blocks[k] for k in np.argsort(-self.norm_on, kind="stable"))
-        self.kernel = CsrExpm(pattern.indptr, pattern.indices, dim)
+        self.kernel = CsrExpm(*pattern_from_keys(keys, dim), dim)
         # Operators of the local error estimate; H_on shares the kernel's arrays.
         self.h_on = sp.csr_matrix(
             (self.data_on, self.kernel.indices, self.kernel.indptr), shape=(dim, dim)
         )
         self.drive, self.comm, self.comm_static = drive, commutator, comm_static
+        self.diag_off = np.concatenate([part[4] for part in parts])
         self.comm_drive = np.concatenate([part[5] for part in parts])
         self.has_drive = self.clock.Omega != 0.0
 
-    def _apply(self, data, amps, h, norm_bounds):
+    def _apply(self, data, amps, h, norm_bounds, first=None):
         """exp(-i h M) amps for M given by ``data``, given a bound on each
-        block's norm of -i h M."""
+        block's norm of -i h M and, optionally, M amps."""
         segments = max(1, int(math.ceil(norm_bounds.max() / SEGMENT_NORM_BUDGET)))
-        return self.kernel.apply(data, amps, -1j * h, segments=segments, blocks=self.stop_order)
+        return self.kernel.apply(data, amps, -1j * h, segments=segments, blocks=self.stop_order,
+                                 first=first)
 
-    def step(self, amps: np.ndarray, t: float, h: float, on: bool) -> np.ndarray:
-        """Advance the amplitudes from t to t + h (charger on or off)."""
+    def step(self, amps: np.ndarray, t: float, h: float, on: bool, probe=None) -> np.ndarray:
+        """Advance the amplitudes from t to t + h (charger on or off).
+
+        ``probe``, the ``_probe`` of ``amps``, saves the driven step its
+        first H_on matvec.
+        """
         if not on:
-            return self._apply(self.data_off, amps, h, h * self.norm_off)
+            return np.exp((-1j * h) * self.diag_off) * amps
         if not self.has_drive:
             return self._apply(self.data_on, amps, h, h * self.norm_on)
         c_a = drive_coefficient(t + GL_NODE_A * h, self.clock)
@@ -379,7 +395,11 @@ class _Stepper:
             self.on_at_drive + c_mean * self.drive_data + (1j * c_comm / h) * self.comm_data
         )
         norm = h * (self.norm_on + abs(c_mean) * self.norm_drive) + abs(c_comm) * self.norm_comm
-        return self._apply(self.work, amps, h, norm)
+        first = None
+        if probe is not None:
+            k_psi, d_psi, c_psi = probe[:3]
+            first = k_psi + c_mean * d_psi + (1j * c_comm / h) * c_psi
+        return self._apply(self.work, amps, h, norm, first)
 
     def _probe(self, amps):
         """H_on, a'+a, C and the nested commutators applied to the state."""
@@ -430,7 +450,7 @@ class _Stepper:
         the charger off, the step is exact up to the Taylor tolerance and n
         is 1.
         """
-        n, errors = 1, np.zeros(len(self.blocks))
+        n, errors, probe = 1, np.zeros(len(self.blocks)), None
         if on and self.has_drive:
             probe = self._probe(amps)
             errors = self.local_error(probe, t, length)
@@ -439,7 +459,7 @@ class _Stepper:
                 errors = self.local_error(probe, t, length / n)
         h = length / n
         for i in range(n):
-            amps = self.step(amps, t + i * h, h, on)
+            amps = self.step(amps, t + i * h, h, on, probe if i == 0 else None)
         return amps, n, n * errors
 
 

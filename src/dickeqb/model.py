@@ -11,13 +11,17 @@ cached per (N, N_ph, space), holds each term spin factor x boson factor of
 TERMS: the spin factors J_z, J_x and the flip-flop distance sums F_d of
 ``_spin_terms`` and the identity, restricted to V' S V in the
 reflection-even sector (V = ``reflection_isometry``); the boson factors I,
-a'a, a'+a, a'-a and P = [a, a'].  All terms sit on one CSR pattern, the
-union of theirs, so one parameter set's operator is a coefficient
-combination of term data; its nonzeros become a new matrix, which the
-Hermitian check of SparseOperator then verifies.  Repeated assemblies at
-one (N, N_ph), such as a phase diagram's points, build no Kronecker
-product, and an operator asked for in the sector is never formed in the
-full space.  ``release_term_tables`` drops the cached tables.
+a'a, a'+a, a'-a and P = [a, a'].  The full-space spin factors are written
+from the bits of the spin index, with no site-operator Kronecker chain:
+popcounts on the diagonal of J_z, single-bit flips for J_x, and two-bit
+flips of unequal pair bits for F_d.  All terms sit on one CSR pattern, the
+sorted union of their row-major linear positions (a term's positions are
+an outer sum of its factors'), so one parameter set's operator is a
+coefficient combination of term data; its nonzeros become a new matrix,
+which the Hermitian check of SparseOperator then verifies.  Repeated
+assemblies at one (N, N_ph), such as a phase diagram's points, build no
+Kronecker product, and an operator asked for in the sector is never formed
+in the full space.  ``release_term_tables`` drops the cached tables.
 """
 
 from __future__ import annotations
@@ -167,30 +171,49 @@ def _frozen(mat) -> sp.csr_matrix:
     return out
 
 
+def _spin_matrix(dim: int, rows: np.ndarray, cols: np.ndarray, data) -> sp.csr_matrix:
+    """Read-only real dim x dim CSR matrix with ``data`` at the distinct
+    positions (rows, cols)."""
+    keys = rows * dim + cols
+    order = np.argsort(keys, kind="stable")
+    indptr, indices = ops.pattern_from_keys(keys[order], dim)
+    data = np.broadcast_to(np.asarray(data, dtype=np.float64), keys.shape)[order]
+    return _frozen(sp.csr_matrix((data, indices, indptr), shape=(dim, dim)))
+
+
 @lru_cache(maxsize=16)
 def _spin_terms(n_atoms: int) -> SpinTerms:
-    """Spin-space J_z, J_x and flip-flop sums, built once per atom count.
+    """Spin-space J_z, J_x and flip-flop sums, built once per atom count
+    from the bits of the spin index.
 
-    The matrices are shared by every caller, so their arrays are read-only;
-    combine them only out of place.
+    Site i owns bit 2^(N-i) of the spin index s (see ``operators``).  J_z
+    is diagonal, popcount(s) - N/2, with its exact zeros not stored; J_x
+    holds 1/2 at (s, s ^ 2^(N-i)) for every site i; F_d holds 1 at
+    (s, s ^ (2^(N-i) | 2^(N-i-d))) for every pair (i, i+d) whose two bits
+    differ in s.  Those are exactly the entries of the sums of
+    ``operators.site_operator`` products they stand for, with the same
+    values.  The matrices are shared by every caller, so their arrays are
+    read-only; combine them only out of place.
     """
-    sites = range(1, n_atoms + 1)
-    lower = {i: ops.site_operator(i, "-", n_atoms) for i in sites}
-    upper = {i: ops.site_operator(i, "+", n_atoms) for i in sites}
+    dim = 2**n_atoms
+    states = np.arange(dim, dtype=np.int64)
+    site_bits = np.int64(1) << np.arange(n_atoms - 1, -1, -1, dtype=np.int64)
+    jz = np.bitwise_count(states) - 0.5 * n_atoms
+    stored = jz != 0.0
 
-    def collective(axis):
-        return 0.5 * sum(ops.site_operator(i, axis, n_atoms) for i in sites)
+    def flips(masks, keep, value):
+        """``value`` at (s, s ^ mask) for every s and mask where ``keep`` holds."""
+        rows = np.broadcast_to(states[:, None], keep.shape)[keep]
+        return _spin_matrix(dim, rows, (states[:, None] ^ masks)[keep], value)
 
     def flip_flop(d):
-        pairs = range(1, n_atoms + 1 - d)
-        return sum(lower[i] @ upper[i + d] + lower[i + d] @ upper[i] for i in pairs)
+        masks = site_bits[:-d] | site_bits[d:]
+        return flips(masks, np.bitwise_count(states[:, None] & masks) == 1, 1.0)
 
     return SpinTerms(
-        jz=_frozen(collective("z")),
-        jx=_frozen(collective("x")),
-        flip_flops=tuple(
-            _frozen(flip_flop(d)) for d in range(1, min(COUPLING_CUTOFF, n_atoms - 1) + 1)
-        ),
+        jz=_spin_matrix(dim, states[stored], states[stored], jz[stored]),
+        jx=flips(site_bits, np.ones((dim, n_atoms), dtype=bool), 0.5),
+        flip_flops=tuple(flip_flop(d) for d in range(1, min(COUPLING_CUTOFF, n_atoms - 1) + 1)),
     )
 
 
@@ -291,19 +314,26 @@ def _term_table(n_atoms: int, n_photon_max: int, space: str) -> _TermTable:
     spin = _spin_terms(n_atoms) if space == "full" else _even_spin_terms(n_atoms)
     spin_factors = {"1": _frozen(sp.identity(spin.jz.shape[0])), "Jz": spin.jz, "Jx": spin.jx}
     spin_factors.update((f"F{d}", f_d) for d, f_d in enumerate(spin.flip_flops, start=1))
-    boson = _boson_factors(n_photon_max + 1)
-    dim = spin.jz.shape[0] * (n_photon_max + 1)
+    boson_dim = n_photon_max + 1
+    boson = _boson_factors(boson_dim)
+    dim = spin.jz.shape[0] * boson_dim
+
+    def kron_keys(s_mat, b_mat):
+        """Row-major linear positions of kron(s_mat, b_mat)'s stored entries,
+        in its entry order: entries (r, c) and (p, q) of the factors sit at
+        (r B + p) dim + c B + q = (r dim + c) B + (p dim + q)."""
+        s_rows, s_cols = np.divmod(ops.linear_keys(s_mat), s_mat.shape[1])
+        b_rows, b_cols = np.divmod(ops.linear_keys(b_mat), boson_dim)
+        return (((s_rows * dim + s_cols) * boson_dim)[:, None] + (b_rows * dim + b_cols)).ravel()
+
     keys = TERMS + tuple((f"F{d}", "1") for d in range(1, len(spin.flip_flops) + 1))
-    flats = {}
-    for s_key, b_key in keys:
-        term = sp.kron(spin_factors[s_key], boson[b_key], format="coo")
-        flats[s_key, b_key] = term.row.astype(np.int64) * dim + term.col
+    flats = {(s_key, b_key): kron_keys(spin_factors[s_key], boson[b_key]) for s_key, b_key in keys}
     # Row-major linear positions; sorted, they are the CSR order.
-    union = np.sort(np.concatenate(list(flats.values())))
-    union = union[np.concatenate(([True], union[1:] != union[:-1]))]
+    union = ops.union_keys(*flats.values())
+    indptr, indices = ops.pattern_from_keys(union, dim)
     return _TermTable(
-        indptr=_read_only(np.searchsorted(union, np.arange(dim + 1) * dim).astype(np.int32)),
-        indices=_read_only((union % dim).astype(np.int32)),
+        indptr=_read_only(indptr),
+        indices=_read_only(indices),
         terms={(s_key, b_key): (spin_factors[s_key], boson[b_key],
                                 _read_only(np.searchsorted(union, flat).astype(np.int32)))
                for (s_key, b_key), flat in flats.items()},

@@ -75,6 +75,21 @@ class HilbertDims:
         raise DomainError(f"space must be one of {SPACES}, got {space!r}")
 
 
+def _hermitian_defect(mat) -> float:
+    """Largest |M - M'| entry of a canonical CSR matrix M.
+
+    When M' has M's pattern, as it does for every operator the model
+    builds, the data of the two are compared position by position; the
+    sparse subtraction is the fallback for any other pattern.
+    """
+    adjoint = mat.transpose().tocsr()
+    if np.array_equal(adjoint.indptr, mat.indptr) and np.array_equal(adjoint.indices, mat.indices):
+        defect = mat.data - adjoint.data.conj()
+    else:
+        defect = (mat - mat.getH()).data
+    return float(np.abs(defect).max()) if len(defect) else 0.0
+
+
 class SparseOperator:
     """Complex sparse matrix on one of SPACES, tagged with its dimensions.
 
@@ -94,8 +109,7 @@ class SparseOperator:
         mat.sum_duplicates()
         mat.sort_indices()
         if hermitian:
-            defect = mat - mat.getH()
-            worst = np.abs(defect.data).max() if defect.nnz else 0.0
+            worst = _hermitian_defect(mat)
             if worst > HERMITIAN_ATOL:
                 raise ContractError(
                     f"operator tagged Hermitian deviates by {worst:.3e}"
@@ -165,6 +179,30 @@ class StateVector:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
+
+
+def linear_keys(mat) -> np.ndarray:
+    """Row-major linear positions row * n_cols + col (int64) of the stored
+    entries of a CSR matrix, in storage order; sorted for sorted indices."""
+    rows = np.repeat(np.arange(mat.shape[0], dtype=np.int64), np.diff(mat.indptr))
+    return rows * mat.shape[1] + mat.indices
+
+
+def union_keys(*keys: np.ndarray) -> np.ndarray:
+    """Sorted distinct union of linear-position arrays.  A stable sort
+    merges the sorted runs of CSR keys in near-linear time; np.unique
+    takes tens of times longer on them."""
+    merged = np.sort(np.concatenate(keys), kind="stable")
+    first = np.ones(len(merged), dtype=bool)
+    first[1:] = merged[1:] != merged[:-1]
+    return merged[first]
+
+
+def pattern_from_keys(keys: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """int32 indptr and indices of the dim x dim CSR pattern whose entries
+    sit at the sorted, distinct row-major linear positions ``keys``."""
+    indptr = np.searchsorted(keys, np.arange(dim + 1, dtype=np.int64) * dim)
+    return indptr.astype(np.int32), (keys % dim).astype(np.int32)
 
 
 def site_operator(site: int, axis: str, n_atoms: int) -> sp.csr_matrix:

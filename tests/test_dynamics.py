@@ -620,10 +620,17 @@ class TestTrajectoryCsv:
 
 class TestStepperInternals:
     def test_pattern_alignment_reconstructs_operators(self):
+        # omega0 J_z + omegac a'a vanishes on |gg> x |1> and, in the full
+        # space, on |eg>, |ge> x |0>: diagonal positions outside the pattern
         p = ModelParams(N=2, g=0.4, Omega=0.3, eta=0.6, N_ph=3)
-        stepper = _Stepper(p)
+        for space in ("full", "even"):
+            self._check_alignment(p, space)
+
+    @staticmethod
+    def _check_alignment(p, space):
+        stepper = _Stepper(p, space)
         kernel = stepper.kernel
-        dim = p.dims.total_dim
+        dim = p.dims.space_dim(space)
 
         def on_pattern(data):
             return scipy.sparse.csr_matrix((data, kernel.indices, kernel.indptr), shape=(dim, dim))
@@ -633,19 +640,66 @@ class TestStepperInternals:
             out[stepper.drive_pos] = data
             return on_pattern(out)
 
-        h_b = build_H_battery(p).mat
-        for got, want in ((on_pattern(stepper.data_on), h_b + build_H_static(p).mat),
-                          (on_pattern(stepper.data_off), h_b),
-                          (at_drive(stepper.drive_data), drive_operator(p).mat),
-                          (at_drive(stepper.comm_data), drive_commutator(p).mat)):
-            assert abs(got - want).max() < 1e-14
+        h_b = build_H_battery(p, space).mat
+        h_on = h_b + build_H_static(p, space).mat
+        drive = drive_operator(p, space).mat
+        for got, want in ((on_pattern(stepper.data_on), h_on),
+                          (at_drive(stepper.drive_data), drive),
+                          (at_drive(stepper.comm_data), drive_commutator(p, space).mat)):
+            assert np.array_equal(got.toarray(), want.toarray())
+        # the kernel pattern is the union of the nonzeros of H_on and a'+a
+        union = (abs(h_on) + abs(drive)).tocsr()
+        union.sort_indices()
+        assert np.array_equal(kernel.indptr, union.indptr)
+        assert np.array_equal(kernel.indices, union.indices)
+        # H_b is diagonal and enters the stepper as its diagonal alone
+        assert h_b.count_nonzero() == np.count_nonzero(h_b.diagonal())
+        assert np.array_equal(stepper.diag_off, h_b.diagonal().real)
+        assert not hasattr(stepper, "data_off")
         # the drive positions are exactly the nonzeros of a'+a
-        assert len(stepper.drive_pos) == drive_operator(p).mat.count_nonzero()
+        assert len(stepper.drive_pos) == drive.count_nonzero()
         assert np.count_nonzero(stepper.drive_data) == len(stepper.drive_pos)
 
     def test_entries_off_the_positions_raise(self):
         mat = scipy.sparse.csr_matrix(np.array([[1.0, 0.0], [2.0, 3.0]], dtype=complex))
-        rows, cols = np.array([0, 1, 1]), np.array([0, 0, 1])
-        assert np.array_equal(_entries(mat, rows, cols), [1.0, 2.0, 3.0])
-        with pytest.raises(AssertionError, match="outside the positions read"):
-            _entries(mat, rows[:2], cols[:2])
+        keys = np.array([0, 2, 3])  # row * 2 + col of the three nonzeros
+        assert np.array_equal(_entries(mat, keys), [1.0, 2.0, 3.0])
+        # positions without an entry read as zero
+        assert np.array_equal(_entries(mat, np.arange(4)), [1.0, 0.0, 2.0, 3.0])
+        # a missing key, past the last one or inside, raises
+        for missing in (keys[:2], keys[1:], keys[[0, 2]]):
+            with pytest.raises(AssertionError, match="outside the positions read"):
+                _entries(mat, missing)
+        # a stored zero is no entry to place
+        mat.data[0] = 0.0
+        assert np.array_equal(_entries(mat, keys[1:]), [2.0, 3.0])
+
+    @pytest.mark.parametrize("space", ["full", "even"])
+    def test_charger_off_step_is_the_exact_phase(self, space):
+        p = ModelParams(N=4, g=0.5, Omega=1.0, eta=0.8, omega0=1.3, N_ph=3, n_init=0, T=1.0)
+        stepper = _Stepper(p, space)
+        rng = np.random.default_rng(7)
+        dim = p.dims.space_dim(space)
+        amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        amps /= np.linalg.norm(amps)
+        h = 0.37
+        want = scipy.linalg.expm(-1j * h * build_H_battery(p, space).to_dense()) @ amps
+        assert np.abs(stepper.step(amps, 2.0, h, False) - want).max() <= 1e-14
+
+    def test_probe_stands_in_for_the_first_matvec(self):
+        p = ModelParams(N=3, g=0.5, Omega=1.0, eta=0.8, N_ph=4)
+        stepper = _Stepper(p)
+        amps = _state_at(p, 0.4)
+        matvecs = []
+        dot = stepper.kernel._mat.dot
+
+        def counting(v):
+            matvecs.append(1)
+            return dot(v)
+
+        stepper.kernel._mat.dot = counting
+        want = stepper.step(amps, 0.3, 0.05, True)
+        plain = len(matvecs)
+        got = stepper.step(amps, 0.3, 0.05, True, stepper._probe(amps))
+        assert len(matvecs) - plain == plain - 1
+        assert np.abs(got - want).max() <= 1e-15

@@ -6,6 +6,7 @@ import scipy.sparse as sp
 
 from dickeqb.errors import DomainError
 from dickeqb.model import (
+    COUPLING_CUTOFF,
     ModelParams,
     build_H_battery,
     build_H_static,
@@ -230,6 +231,26 @@ def assert_matches_references(p):
         assert max_deviation(op, ref) <= 1e-14
 
 
+def kron_spin_terms(n):
+    """Reference J_z, J_x and F_1, F_2, ...: sums of ``site_operator``
+    Kronecker chains and their products, made real and duplicate-free."""
+    sites = range(1, n + 1)
+
+    def real(mat):
+        out = sp.csr_matrix(mat.real, copy=True)
+        out.sum_duplicates()
+        return out
+
+    def op(i, axis):
+        return site_operator(i, axis, n)
+
+    flip_flops = [sum(op(i, "-") @ op(i + d, "+") + op(i + d, "-") @ op(i, "+")
+                      for i in range(1, n + 1 - d))
+                  for d in range(1, min(COUPLING_CUTOFF, n - 1) + 1)]
+    return [real(m) for m in (0.5 * sum(op(i, "z") for i in sites),
+                              0.5 * sum(op(i, "x") for i in sites), *flip_flops)]
+
+
 class TestAgainstPairLoop:
     @pytest.mark.parametrize("n_atoms", range(1, 8))
     @pytest.mark.parametrize("mode", REFERENCE_CASES, ids=["direct", "geometric"])
@@ -255,6 +276,20 @@ class TestAgainstPairLoop:
     def test_cached_terms_are_read_only(self):
         with pytest.raises(ValueError):
             _spin_terms(3).flip_flops[0].data[0] = 2.0
+
+    @pytest.mark.parametrize("n_atoms", range(1, 11))
+    def test_bit_built_spin_terms_equal_kron_sums(self, n_atoms):
+        got = _spin_terms(n_atoms)
+        want = kron_spin_terms(n_atoms)
+        assert len(got.flip_flops) == len(want) - 2
+        for mat, ref in zip((got.jz, got.jx, *got.flip_flops), want):
+            assert mat.shape == ref.shape
+            for name in ("indptr", "indices", "data"):
+                arr, ref_arr = getattr(mat, name), getattr(ref, name)
+                assert arr.dtype == ref_arr.dtype, name
+                assert np.array_equal(arr, ref_arr), name
+                assert not arr.flags.writeable, name
+            assert np.array_equal(np.signbit(mat.data), np.signbit(ref.data))
 
 
 class TestTermTable:

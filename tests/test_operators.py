@@ -260,6 +260,36 @@ class TestContainers:
         with pytest.raises(ContractError):
             SparseOperator(dims, bad, hermitian=True)
 
+    @staticmethod
+    def _defective(defect):
+        """A Hermitian 6 x 6 matrix with one entry off by ``defect``; the
+        entries (0, 5) and (5, 0) are not stored."""
+        rng = np.random.default_rng(3)
+        a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+        mat = a + a.conj().T
+        mat[0, 5] = mat[5, 0] = 0.0
+        mat[1, 0] += defect
+        return mat
+
+    @pytest.mark.parametrize("defect, rejected", [(2e-12, True), (5e-13, False)])
+    def test_hermitian_tolerance(self, defect, rejected):
+        dims = HilbertDims(1, 2)  # 6 x 6
+        if rejected:
+            with pytest.raises(ContractError, match="operator tagged Hermitian deviates by 2.000e-12"):
+                SparseOperator(dims, self._defective(defect), hermitian=True)
+        else:
+            assert SparseOperator(dims, self._defective(defect), hermitian=True).hermitian
+
+    def test_hermitian_check_with_asymmetric_pattern(self):
+        # an entry whose mirror is not stored is a defect of its own size
+        dims = HilbertDims(1, 2)
+        mat = self._defective(0.0)
+        mat[0, 5] = 1e-11
+        with pytest.raises(ContractError, match="deviates by 1.000e-11"):
+            SparseOperator(dims, mat, hermitian=True)
+        mat[0, 5] = 1e-13
+        assert SparseOperator(dims, mat, hermitian=True).hermitian
+
     def test_state_norm_checked(self):
         dims = HilbertDims(1, 0)
         with pytest.raises(ContractError):
