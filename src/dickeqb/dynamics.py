@@ -22,42 +22,47 @@ spacing, not the step.
 
 The exponent is applied by the Taylor kernel ``CsrExpm`` defined here: the
 scaled Taylor apply of Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011) 488,
-on SciPy's CSR matvec.  The kernel takes the step's scalar -i h apart from
-the matrix and multiplies it into the factor it applies to every Taylor
-term, so the matrix data never depend on h.  They live on one fixed CSR
-pattern: H_on as built, and for a driven step one work array that differs
-from H_on only on the ~2 dim entries where a'+a and a'-a are nonzero.  With
-the charger off only the diagonal H_b acts, and a step is its exact phase.
+over a matvec.  The kernel takes the step's scalar -i h apart from the
+operator and multiplies it into the factor it applies to every Taylor term.
+No operator is assembled: every term of the exponent is a spin factor x
+cavity factor (``model.TERMS``), and the stepper's matvec applies them on
+the state viewed as a (spin, Fock) array, with one sparse product of the
+real spin factors and elementwise Fock-level moves (see ``_Stepper``).
+With the charger off only the diagonal H_b acts, and a step is its exact
+phase.
 
 ``propagate`` steps in the reflection-even sector.  The initial state
 |g...g> x |n_init> and every term of the Hamiltonian are unchanged by the
 site reflection i -> N+1-i (the dipole couplings depend on |i-j| alone), so
 the state never leaves the span of P = V x I_b, V the spin isometry of
-``model.reflection_isometry``.  The stepper asks the model builders for its
-operators in that sector, where they are assembled from the spin terms
-V' S V and equal P' M P; no full-space operator is built.  That is about
-half the dimension and kernel nonzeros of the full space at N >= 5, with
-the same step plan; each sample is lifted back to the full joint basis
-before the observables are taken.  ``step_magnus4`` acts on the full space,
-so it stays exact on any state.
+``model.reflection_isometry``.  The stepper applies its operators there
+from the sector spin terms V' S V, so they equal P' M P; no full-space
+operator or state is stepped.  That is about half the dimension of the
+full space at N >= 5, with the same step plan; each sample is lifted back
+to the full joint basis before the observables are taken.
+``step_magnus4`` acts on the full space, with the full spin terms, so it
+stays exact on any state.
 
 ``propagate`` also takes a batch: parameter sets that share the time
 dependence (Omega, omegad and T), such as the N = 1..6 points of a sweep
-cell.  Their sector operators are stacked block-diagonally, so the batch
-steps as one system: one exponent array, one drive coefficient c(t) and
-one sequence of kernel calls per interval.  The tolerances hold per block.
-An interval takes the largest step count any block needs, since its error
-estimate is the largest of the per-block ||(Omega6 - Omega4) psi_k||, and
-the Taylor series stops only when every block has converged against its own
-norm.  A block's trajectory can therefore differ from a solo run of the same
-point at the MAGNUS_TOL level, as its steps are shorter where another block
-needs them.  A single parameter set is a batch of one, with the arithmetic
-of a solo run.
+cell.  Their sector states are stacked, each padded to the batch's
+largest Fock dimension, and their spin factors block-diagonally, so the
+batch steps as one system: one spin product per matvec, one drive
+coefficient c(t) and one sequence of kernel calls per interval.  The
+tolerances hold per block.  An interval takes the largest step count any
+block needs, since its error estimate is the largest of the per-block
+||(Omega6 - Omega4) psi_k||, and the Taylor series stops only when every
+block has converged against its own norm.  A block's trajectory can
+therefore differ from a solo run of the same point at the MAGNUS_TOL level,
+as its steps are shorter where another block needs them.  A single
+parameter set is a batch of one, with no padding and the arithmetic of a
+solo run.
 
 The independent reference ``oracle_propagate`` integrates i psi' = H(t) psi
 in the full space with the 8th-order Runge-Kutta method DOP853 (Hairer,
-Norsett & Wanner, Solving ODEs I, Springer 1993).  It shares only the model
-builders and the sample times with that code path and cross-validates it.
+Norsett & Wanner, Solving ODEs I, Springer 1993) on the operators the
+model builders assemble.  It shares only the spin and cavity terms and the
+sample times with that code path and cross-validates it.
 """
 
 from __future__ import annotations
@@ -65,6 +70,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -81,15 +87,14 @@ from dickeqb.model import (
     ModelParams,
     build_H_battery,
     build_H_static,
+    dipole_coupling,
     drive_coefficient,
-    drive_commutator,
     drive_operator,
     initial_state,
-    nested_commutators,
     reflection_isometry,
-    release_term_tables,
+    spin_terms,
 )
-from dickeqb.operators import StateVector, linear_keys, pattern_from_keys, union_keys
+from dickeqb.operators import StateVector
 
 # Gauss-Legendre nodes of one step and the weight of the node commutator in
 # the Magnus-4 exponent.
@@ -178,45 +183,26 @@ class Trajectory:
                 fh.write(",".join("%.12g" % x for x in row) + "\n")
 
 
-def _entries(mat, keys) -> np.ndarray:
-    """Entries of the canonical CSR ``mat`` at ``keys``, sorted distinct
-    row-major linear positions row * dim + col, which must hold every
-    nonzero of ``mat``."""
-    own = linear_keys(mat)
-    at = np.searchsorted(keys, own)
-    found = at < len(keys)
-    found[found] = keys[at[found]] == own[found]
-    if np.count_nonzero(mat.data[~found]):
+def _diagonal(mat) -> np.ndarray:
+    """The diagonal of a sparse matrix that must have no nonzero entry off it."""
+    coo = mat.tocoo()
+    if np.count_nonzero(coo.data[coo.row != coo.col]):
         raise AssertionError("operator entries outside the positions read")
-    data = np.zeros(len(keys), dtype=np.complex128)
-    data[at[found]] = mat.data[found]
-    return data
-
-
-def _inf_norm(mat) -> float:
-    return float(abs(mat).sum(axis=1).max()) if mat.nnz else 0.0
+    return mat.diagonal()
 
 
 class CsrExpm:
-    """Applies exp(M) @ v for CSR matrices on a fixed sparsity pattern.
+    """Applies exp(scale * M) @ v by a Taylor series over M's matvec.
 
-    The pattern (indptr/indices) is bound once; each call supplies a fresh
-    data array, so the propagator can swap Hamiltonian coefficients without
-    rebuilding matrices.  perfbench/spans.py wraps ``apply`` by replacing
-    this module global, so the stepper looks the class up when it is built.
+    M is handed to ``apply`` as a function v -> M v, so the stepper passes
+    the product it forms from M's spin x cavity factors and no matrix of M
+    is built.  perfbench/spans.py wraps ``apply`` by replacing this module
+    global, so the stepper looks the class up when it is built.
     """
 
-    def __init__(self, indptr, indices, dim: int):
-        self.indptr = np.ascontiguousarray(indptr, dtype=np.int32)
-        self.indices = np.ascontiguousarray(indices, dtype=np.int32)
-        self._mat = sp.csr_matrix(
-            (np.zeros(len(self.indices), dtype=np.complex128), self.indices, self.indptr),
-            shape=(dim, dim),
-        )
-
-    def apply(self, data, v, scale: complex = 1.0, segments: int = 1,
+    def apply(self, matvec, v, scale: complex = 1.0, segments: int = 1,
               blocks=None, first=None) -> np.ndarray:
-        """exp(scale * M) @ v with M given by ``data`` on the bound pattern.
+        """exp(scale * M) @ v for M v = ``matvec(v)``.
 
         exp(scale * M) is applied as ``segments`` factors
         exp(scale * M / segments), each a Taylor series whose m-th term is
@@ -227,18 +213,17 @@ class CsrExpm:
         of v) applies that test to every block against its own norm, and the
         series stops once all pass; None treats v as one block.  ``first``,
         M @ v when the caller already holds it, stands in for the first
-        segment's first matvec and is scaled in place.  Neither ``v`` nor
-        ``data`` is written: the first term's sum allocates the result.
+        segment's first matvec and is scaled in place, as is every new array
+        ``matvec`` returns.  ``v`` is not written: the first term's sum
+        allocates the result.
         """
-        mat = self._mat
-        mat.data = np.ascontiguousarray(data, dtype=np.complex128)
         out = np.ascontiguousarray(v, dtype=np.complex128)
         tol_sq = TAYLOR_TOL * TAYLOR_TOL
         blocks = (slice(None),) if blocks is None else blocks
         for _ in range(segments):
             term = out
             for m in range(1, TAYLOR_MAX_TERMS + 1):
-                term = mat.dot(term) if first is None else first
+                term = matvec(term) if first is None else first
                 first = None
                 term *= scale / (segments * m)
                 if m == 1:
@@ -272,26 +257,74 @@ def _batch(params) -> tuple:
     return batch
 
 
-def _block_operators(params: ModelParams, space: str):
-    """H_on, a'+a, C, the static nested commutator, and the diagonals of H_b
-    and of the drive nested commutator, for one parameter set, assembled in
-    ``space``."""
-    h_batt = build_H_battery(params, space).mat
-    a_on = h_batt + build_H_static(params, space).mat
-    drive = drive_operator(params, space).mat
-    commutator = drive_commutator(params, space).mat
-    with_static, with_drive = nested_commutators(params, space)
-    return (a_on, drive, commutator, with_static.mat,
-            h_batt.diagonal().real, with_drive.mat.diagonal())
+class _BlockFactors(NamedTuple):
+    """One parameter set's share of the stepper's operators.
 
-
-def _stack(mats):
-    """Block-diagonal CSR stack of ``mats``.
-
-    A single block is kept as it is, entry order included, so a batch of
-    one does a solo run's arithmetic.
+    ``jx`` and ``flips`` act on the spin index; the other arrays are
+    (spin, width) grids that multiply the state element by element, and are
+    zero on the Fock levels n > N_ph that pad the block to the batch width.
     """
-    return mats[0] if len(mats) == 1 else sp.block_diag(mats, format="csr")
+
+    jx: sp.csr_matrix  # 2g J_x
+    flips: sp.csr_matrix  # sum_d eta_d F_d
+    diag_off: np.ndarray  # H_b = omega0 J_z
+    diag_on: np.ndarray  # omega0 J_z + omega_c n
+    weights: np.ndarray  # sqrt(n + 1) for n < N_ph: a moves n + 1 to n, a' n to n + 1
+    omegac: np.ndarray
+    comm_drive: np.ndarray  # [a' + a, C] = 2 omega_c P
+    norms: tuple  # infinity norms of H_on, a'+a and C
+
+
+def _block_factors(p: ModelParams, spin, width: int) -> _BlockFactors:
+    """The factors of one parameter set with spin terms ``spin``, laid out
+    on ``width`` >= N_ph + 1 Fock levels.
+
+    The infinity norms are the largest row sums of the operators, taken from
+    the factors' row sums: on row (s, n), H_on holds the diagonal
+    omega0 J_z + omega_c n + sum_d eta_d F_d[s, s], the off-diagonal spin
+    entries of the flip-flop sum, and 2g J_x times the a'+a entries of level
+    n, whose positions are all distinct.
+    """
+    boson_dim = p.dims.boson_dim
+    fock = np.arange(width)
+    inside = fock < boson_dim
+    height = spin.jz.shape[0]
+
+    def combination(pairs):
+        mats = [coefficient * mat for coefficient, mat in pairs if coefficient != 0.0]
+        return sum(mats[1:], mats[0]).tocsr() if mats else sp.csr_matrix((height, height))
+
+    jx = combination([(2.0 * p.g, spin.jx)])
+    flips = combination([(dipole_coupling(1, 1 + d, p), f_d)
+                         for d, f_d in enumerate(spin.flip_flops, start=1)])
+    h_b = p.omega0 * _diagonal(spin.jz)
+    weights = np.where(fock < boson_dim - 1, np.sqrt(fock + 1.0), 0.0)
+    # [a, a'] = diag(1, ..., 1, -N_ph)
+    commutator = np.where(fock < boson_dim - 1, 1.0, np.where(inside, -float(p.photon_cutoff), 0.0))
+
+    def grid(levels, rows=np.zeros(height)):
+        """rows[s] + levels[n] on the block's Fock levels, 0 above them."""
+        return np.where(inside, rows[:, None] + levels, 0.0)
+
+    # Row sums of |a'+a| per Fock level, and of the spin factors per spin row.
+    ladder_rows = (weights + np.concatenate(([0.0], weights[:-1])))[:boson_dim]
+    off = abs(flips).tocoo()
+    mask = off.row != off.col
+    flip_rows = np.bincount(off.row[mask], weights=off.data[mask], minlength=height)
+    jx_rows = np.asarray(abs(jx).sum(axis=1)).ravel()
+    diagonal = (h_b + flips.diagonal())[:, None] + p.omegac * fock[:boson_dim]
+    on_rows = flip_rows[:, None] + abs(diagonal) + jx_rows[:, None] * ladder_rows
+    ladder_norm = float(ladder_rows.max())
+    return _BlockFactors(
+        jx=jx,
+        flips=flips,
+        diag_off=grid(0.0, h_b),
+        diag_on=grid(p.omegac * fock, h_b),
+        weights=grid(weights),
+        omegac=grid(p.omegac),
+        comm_drive=grid(2.0 * p.omegac * commutator),
+        norms=(float(on_rows.max()), ladder_norm, p.omegac * ladder_norm),
+    )
 
 
 class _Stepper:
@@ -303,27 +336,35 @@ class _Stepper:
     ``blocks`` holds the slice of the amplitude vector each block owns; the
     drive coefficient c(t) is common to all blocks.
 
-    The kernel applies exp(-i h M) with M on the union pattern of
-    H_on = H_b + H_static and the drive quadrature.  Each operator's data
-    is aligned to that pattern by its row-major linear positions
-    row * dim + col: the union is their sorted merge, and an operator's
-    entries land where ``np.searchsorted`` finds its positions in it.
-    ``data_on`` holds H_on, not scaled by h.  A driven step writes
-    H_on + c_mean (a'+a) + (i c_comm / h) omega_c (a' - a) into one work
-    array that equals ``data_on`` elsewhere, rewriting only the drive
-    positions, where the commutator also sits; the drive and commutator
-    data are stored on those positions only.  ``advance`` picks the step
-    count of an interval from the per-block local error estimates of
-    ``local_error``, and hands the H_on, a'+a and C products of that
-    estimate to the interval's first step, whose first Taylor term they
-    make up.  H_b = omega0 J_z x I is diagonal, in the full space and in
-    the sector, so a step with the charger off multiplies by the exact
-    phases exp(-i h diag(H_b)) and never calls the kernel.
+    No operator is assembled: every one is applied from its spin x cavity
+    factors (``model.TERMS``).  A block with spin dimension S is laid out
+    as an S x width grid, spin-major, with width the largest N_ph + 1 of
+    the batch; the levels above the block's own N_ph pad it and stay zero,
+    since every weight and diagonal entry there is zero.  A batch of one
+    has no padding, and ``pack``/``unpack`` convert between the layout and
+    each block's own coordinates.  H_on v, with the drive terms
+    c (a'+a) + kappa C of a driven step, is then four parts: the real
+    diagonal omega0 J_z + omega_c n times v; one sparse product of the
+    block-diagonal spin stack [2g J_x ; sum_d eta_d F_d] with the state
+    viewed as a real (spin, 2 width) array; its flip-flop half, added as it
+    is; and its J_x half plus c v and kappa omega_c v moved one Fock level
+    up (a') and down (a), each a flat shift of the state weighted by
+    sqrt(n + 1), which is zero at every row's top level.  The probe of
+    ``local_error`` (D, C and the nested commutators on the state) and the
+    commutator [X, Y] of the estimate reuse those pieces: the probe takes
+    one spin product, and each estimate one more plus a product with the
+    J_x half alone.
 
-    ``space`` is where every block's operators are assembled: the full
-    joint space, or the reflection-even sector, whose coordinates the
-    stepper then acts on.  The sector is exact for states in it, which no
-    operator leaves.
+    ``advance`` picks the step count of an interval from the per-block
+    local error estimates of ``local_error``, and hands the H_on, a'+a and
+    C products of that estimate to the interval's first step, whose first
+    Taylor term they make up.  H_b = omega0 J_z x I is diagonal, in the
+    full space and in the sector, so a step with the charger off multiplies
+    by the exact phases exp(-i h diag(H_b)) and never calls the kernel.
+
+    ``space`` says which spin terms the blocks use: the full joint space,
+    or the reflection-even sector, whose coordinates the stepper then acts
+    on.  The sector is exact for states in it, which no operator leaves.
     """
 
     def __init__(self, params, space: str = "full"):
@@ -332,79 +373,121 @@ class _Stepper:
         # The blocks share the time dependence, so the first one's drive
         # coefficient is every block's.
         self.clock = batch[0]
-        parts = [_block_operators(p, space) for p in batch]
-        # Each block is assembled once, and a term table held through the
-        # rest of the construction and the stepping would sit at the
-        # memory peak, so drop the tables here.
-        release_term_tables()
-        a_on, drive, commutator, comm_static = (
-            _stack([part[i] for part in parts]) for i in range(4))
-        edges = np.cumsum([0] + [part[0].shape[0] for part in parts])
+        self.boson_dims = tuple(p.dims.boson_dim for p in batch)
+        self.width = max(self.boson_dims)
+        parts = [_block_factors(p, spin_terms(p.N, space), self.width) for p in batch]
+        heights = [part.diag_on.shape[0] for part in parts]
+        self.height = sum(heights)
+        edges = self.width * np.cumsum([0] + heights)
         self.blocks = tuple(slice(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]))
-        dim = a_on.shape[0]
-        drive_keys = linear_keys(drive)
-        keys = union_keys(linear_keys(a_on), drive_keys)
-        self.data_on = _entries(a_on, keys)
-        self.drive_pos = np.searchsorted(keys, drive_keys)
-        self.drive_data = _entries(drive, drive_keys)
-        self.comm_data = _entries(commutator, drive_keys)
-        self.on_at_drive = self.data_on[self.drive_pos]
-        self.work = None  # H_on with the drive terms of the last driven step
+        self.jx = sp.block_diag([part.jx for part in parts], format="csr")
+        self.spin_stack = sp.vstack([self.jx, sp.block_diag([part.flips for part in parts])],
+                                    format="csr")
+        self.diag_off = np.concatenate([part.diag_off.ravel() for part in parts])
+        # The factors that multiply complex states are stored complex: NumPy
+        # multiplies two complex arrays faster than a real one by a complex one.
+        self.diag_on, weights, self.omegac, self.comm_drive = (
+            np.concatenate([getattr(part, name).ravel() for part in parts]).astype(np.complex128)
+            for name in ("diag_on", "weights", "omegac", "comm_drive"))
+        self.weights = weights[:-1]
+        self.omegac_sq = self.omegac * self.omegac
         # Per-block infinity norms: the stacked exponent's is their maximum.
-        self.norm_on, self.norm_drive, self.norm_comm = (
-            np.array([_inf_norm(part[i]) for part in parts]) for i in (0, 1, 2))
+        self.norm_on, self.norm_drive, self.norm_comm = np.array([part.norms for part in parts]).T
         # The Taylor stop tests the block with the largest H_on first, the
         # one that is slowest to converge.
         self.stop_order = tuple(self.blocks[k] for k in np.argsort(-self.norm_on, kind="stable"))
-        self.kernel = CsrExpm(*pattern_from_keys(keys, dim), dim)
-        # Operators of the local error estimate; H_on shares the kernel's arrays.
-        self.h_on = sp.csr_matrix(
-            (self.data_on, self.kernel.indices, self.kernel.indptr), shape=(dim, dim)
-        )
-        self.drive, self.comm, self.comm_static = drive, commutator, comm_static
-        self.diag_off = np.concatenate([part[4] for part in parts])
-        self.comm_drive = np.concatenate([part[5] for part in parts])
+        self.kernel = CsrExpm()
         self.has_drive = self.clock.Omega != 0.0
 
-    def _apply(self, data, amps, h, norm_bounds, first=None):
-        """exp(-i h M) amps for M given by ``data``, given a bound on each
+    def pack(self, parts) -> np.ndarray:
+        """The stepper's amplitudes from one vector per block, each in its
+        block's own coordinates spin * (N_ph + 1) + n."""
+        amps = np.zeros(self.blocks[-1].stop, dtype=np.complex128)
+        for block, boson_dim, part in zip(self.blocks, self.boson_dims, parts):
+            amps[block].reshape(-1, self.width)[:, :boson_dim] = np.reshape(part, (-1, boson_dim))
+        return amps
+
+    def unpack(self, amps) -> list:
+        """Each block's amplitudes in its own coordinates; ``pack`` inverted."""
+        return [amps[block].reshape(-1, self.width)[:, :boson_dim].ravel()
+                for block, boson_dim in zip(self.blocks, self.boson_dims)]
+
+    def _spin(self, mat, v) -> np.ndarray:
+        """The real spin matrix ``mat`` (``spin_stack`` or its J_x half
+        ``jx``) applied to the spin index of the state v: one sparse product
+        with v viewed as a real (spin, 2 width) array, returned flat."""
+        grid = np.ascontiguousarray(v, dtype=np.complex128).reshape(self.height, -1)
+        return (mat @ grid.view(np.float64)).view(np.complex128).ravel()
+
+    def _ladder(self, out, up, down) -> np.ndarray:
+        """out += a' up + a down, in place, on every block's Fock levels."""
+        out[1:] += self.weights * up[:-1]
+        out[:-1] += self.weights * down[1:]
+        return out
+
+    def drive_scales(self, c: float, kappa: complex) -> tuple:
+        """c + kappa omega_c and c - kappa omega_c, per amplitude: with
+        C = omega_c (a' - a), c (a'+a) + kappa C moves the state times the
+        first up a Fock level and times the second down one."""
+        kappa_c = kappa * self.omegac
+        return c + kappa_c, c - kappa_c
+
+    def matvec(self, v, scales=None) -> np.ndarray:
+        """(H_on + c (a'+a) + kappa C) v, given ``scales``, the
+        ``drive_scales`` of c and kappa, or None for c = kappa = 0."""
+        product = self._spin(self.spin_stack, v)
+        jx, out = product[:len(v)], product[len(v):]
+        out += self.diag_on * v
+        if scales is None:
+            return self._ladder(out, jx, jx)
+        up, down = scales
+        return self._ladder(out, jx + up * v, jx + down * v)
+
+    def _exp(self, matvec, amps, h, norm_bounds, first=None):
+        """exp(-i h M) amps for M v = matvec(v), given a bound on each
         block's norm of -i h M and, optionally, M amps."""
         segments = max(1, int(math.ceil(norm_bounds.max() / SEGMENT_NORM_BUDGET)))
-        return self.kernel.apply(data, amps, -1j * h, segments=segments, blocks=self.stop_order,
-                                 first=first)
+        return self.kernel.apply(matvec, amps, -1j * h, segments=segments,
+                                 blocks=self.stop_order, first=first)
 
     def step(self, amps: np.ndarray, t: float, h: float, on: bool, probe=None) -> np.ndarray:
         """Advance the amplitudes from t to t + h (charger on or off).
 
         ``probe``, the ``_probe`` of ``amps``, saves the driven step its
-        first H_on matvec.
+        first matvec.
         """
         if not on:
             return np.exp((-1j * h) * self.diag_off) * amps
         if not self.has_drive:
-            return self._apply(self.data_on, amps, h, h * self.norm_on)
+            return self._exp(self.matvec, amps, h, h * self.norm_on)
         c_a = drive_coefficient(t + GL_NODE_A * h, self.clock)
         c_b = drive_coefficient(t + GL_NODE_B * h, self.clock)
         c_mean = 0.5 * (c_a + c_b)
         c_comm = MAGNUS_COMMUTATOR_WEIGHT * h * h * (c_b - c_a)
-        if self.work is None:
-            # Made here, not in __init__, so it can reuse memory the
-            # constructor's temporaries have freed instead of raising the peak.
-            self.work = self.data_on.copy()
-        self.work[self.drive_pos] = (
-            self.on_at_drive + c_mean * self.drive_data + (1j * c_comm / h) * self.comm_data
-        )
+        kappa = 1j * c_comm / h
+        scales = self.drive_scales(c_mean, kappa)
         norm = h * (self.norm_on + abs(c_mean) * self.norm_drive) + abs(c_comm) * self.norm_comm
         first = None
         if probe is not None:
             k_psi, d_psi, c_psi = probe[:3]
-            first = k_psi + c_mean * d_psi + (1j * c_comm / h) * c_psi
-        return self._apply(self.work, amps, h, norm, first)
+            first = k_psi + c_mean * d_psi + kappa * c_psi
+        return self._exp(lambda v: self.matvec(v, scales), amps, h, norm, first)
 
     def _probe(self, amps):
-        """H_on, a'+a, C and the nested commutators applied to the state."""
-        return (self.h_on @ amps, self.drive @ amps, self.comm @ amps,
-                self.comm_static @ amps, self.comm_drive * amps)
+        """H_on, a'+a, C and the nested commutators applied to the state,
+        from one spin product."""
+        amps = np.ascontiguousarray(amps, dtype=np.complex128)
+        product = self._spin(self.spin_stack, amps)
+        jx, flips = product[:len(amps)], product[len(amps):]
+        raised, lowered = np.zeros_like(amps), np.zeros_like(amps)
+        np.multiply(self.weights, amps[:-1], out=raised[1:])
+        np.multiply(self.weights, amps[1:], out=lowered[:-1])
+        d_psi = raised + lowered
+        c_psi = self.omegac * (raised - lowered)
+        k_psi = self._ladder(self.diag_on * amps + flips, jx, jx)
+        # [H_on, C] = omega_c^2 (a'+a) + 2 omega_c P (2g J_x)
+        es_psi = self.omegac_sq * d_psi + self.comm_drive * jx
+        return k_psi, d_psi, c_psi, es_psi, self.comm_drive * amps
 
     def local_error(self, probe, t: float, h: float) -> np.ndarray:
         """Estimated local error ||(Omega6 - Omega4) psi_k|| of a driven step,
@@ -414,8 +497,8 @@ class _Stepper:
         alpha1 + alpha3/12 + [X, Y]/240 with X = -20 alpha1 - alpha3 + C1 and
         Y = alpha2 + C2.  For A(t) = -i (H_on + c(t) D) every commutator in it
         reduces to D, C = [H_on, D] and the nested commutators, so after the
-        matvecs in ``probe`` one estimate costs one H_on matvec and three on
-        the smaller drive operators.
+        products in ``probe`` one estimate takes one spin product of the
+        state Y acts on, and the J_x half of one of the state X acts on.
         """
         k_psi, d_psi, c_psi, es_psi, ed_psi = probe
         c_a, c_b, k1, k2, k3 = (
@@ -430,11 +513,17 @@ class _Stepper:
         y_d, y_c, y_e = -1j * b2, h * b3 / 30.0, -1j * h * h * b2 / 60.0
         x_psi = x_k * k_psi + x_d * d_psi + x_c * c_psi
         y_psi = y_d * d_psi + y_c * c_psi + y_e * (es_psi + k2 * ed_psi)
-        # [X, Y] psi = X y_psi - Y x_psi, with the D and C terms merged
-        xy_yx = (x_k * (self.h_on @ y_psi)
-                 + self.drive @ (x_d * y_psi - y_d * x_psi)
-                 + self.comm @ (x_c * y_psi - y_c * x_psi)
-                 - y_e * (self.comm_static @ x_psi + k2 * (self.comm_drive * x_psi)))
+        # [X, Y] psi = X y_psi - Y x_psi, where Y's nested commutators need
+        # only J_x of x_psi; every D and C term is one Fock move of
+        # ``ladder`` up (a') and down (a).
+        product = self._spin(self.spin_stack, y_psi)
+        jx_y, flips_y = product[:len(y_psi)], product[len(y_psi):]
+        jx_x = self._spin(self.jx, x_psi)
+        ladder = x_k * jx_y + (x_d * y_psi - y_d * x_psi) - (y_e * self.omegac_sq) * x_psi
+        comm = self.omegac * (x_c * y_psi - y_c * x_psi)
+        xy_yx = self._ladder(
+            x_k * (self.diag_on * y_psi + flips_y) - y_e * (self.comm_drive * (jx_x + k2 * x_psi)),
+            ladder + comm, ladder - comm)
         diff = ((-1j * (h * (k2 - 0.5 * (c_a + c_b)) + b3 / 12.0)) * d_psi
                 - (MAGNUS_COMMUTATOR_WEIGHT * h * h * (c_b - c_a)) * c_psi
                 + xy_yx / 240.0)
@@ -652,14 +741,13 @@ def _magnus4_batch(batch, cfg: PropagationConfig) -> list:
     stepper = _Stepper(batch, "even")
     states0 = [initial_state(p) for p in batch]
     recorders = [_Recorder(p, state0) for p, state0 in zip(batch, states0)]
-    lifts = list(zip(recorders, sectors, stepper.blocks))
 
     def record(t, amps):
-        for recorder, sector, block in lifts:
-            recorder.record(t, sector.lift(amps[block]))
+        for recorder, sector, part in zip(recorders, sectors, stepper.unpack(amps)):
+            recorder.record(t, sector.lift(part))
 
-    amps = np.concatenate([sector.restrict(state0.amplitudes)
-                           for sector, state0 in zip(sectors, states0)])
+    amps = stepper.pack([sector.restrict(state0.amplitudes)
+                         for sector, state0 in zip(sectors, states0)])
     record(0.0, amps)
     steps, step_errors = 0, np.zeros(len(batch))
     for t1, pieces in _sample_intervals(cfg, batch[0].T):

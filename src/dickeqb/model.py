@@ -268,6 +268,16 @@ def _even_spin_terms(n_atoms: int) -> SpinTerms:
     )
 
 
+def spin_terms(n_atoms: int, space: str) -> SpinTerms:
+    """The cached, read-only spin terms of ``space``: ``_spin_terms`` in the
+    full space, ``_even_spin_terms`` in the reflection-even sector."""
+    if space == "full":
+        return _spin_terms(n_atoms)
+    if space == "even":
+        return _even_spin_terms(n_atoms)
+    raise DomainError(f"space must be one of {ops.SPACES}, got {space!r}")
+
+
 def _boson_factors(boson_dim: int) -> dict:
     """Real cavity factors of the terms on the Fock space 0..N_ph: I, a'a,
     a'+a, a'-a and P = [a, a'] = diag(1, ..., 1, -N_ph)."""
@@ -311,7 +321,7 @@ def _term_table(n_atoms: int, n_photon_max: int, space: str) -> _TermTable:
     stored per entry; the values are the factors' products.  Every caller
     shares the table, so its arrays are read-only.
     """
-    spin = _spin_terms(n_atoms) if space == "full" else _even_spin_terms(n_atoms)
+    spin = spin_terms(n_atoms, space)
     spin_factors = {"1": _frozen(sp.identity(spin.jz.shape[0])), "Jz": spin.jz, "Jx": spin.jx}
     spin_factors.update((f"F{d}", f_d) for d, f_d in enumerate(spin.flip_flops, start=1))
     boson_dim = n_photon_max + 1

@@ -15,7 +15,7 @@ from dickeqb.dynamics import (
     _Recorder,
     _Stepper,
     _charging_segments,
-    _entries,
+    _diagonal,
     _sample_intervals,
     _time_grid,
     oracle_propagate,
@@ -38,6 +38,7 @@ from dickeqb.model import (
     drive_operator,
     hamiltonian_at,
     initial_state,
+    nested_commutators,
     static_hamiltonian,
 )
 from dickeqb.observables import stored_energy
@@ -334,7 +335,8 @@ class TestReflectionSector:
         p = ModelParams(N=3, g=0.5, Omega=1.0, eta=0.8, N_ph=4)
         traj = propagate(p, PropagationConfig(t_max=0.2, dt=0.01, sample_stride=10))
         # (2^3 + 2^2) / 2 = 6 even spin states, each with 5 photon levels
-        assert steppers[0].kernel._mat.shape == (6 * 5, 6 * 5)
+        assert steppers[0].spin_stack.shape == (2 * 6, 6)
+        assert steppers[0].blocks == (slice(0, 6 * 5),)
         assert traj.final_state.amplitudes.shape == (p.dims.total_dim,)
 
 
@@ -471,7 +473,7 @@ class TestBatch:
                  ModelParams(N=1, g=0.1, Omega=0.9, omegad=0.7, N_ph=2, n_init=0)]
         stacked, solos = _Stepper(batch), [_Stepper(p) for p in batch]
         psis = [_state_at(p, 0.9) for p in batch]
-        amps = np.concatenate(psis)
+        amps = stacked.pack(psis)
         for t, h in ((0.3, 0.05), (2.0, 0.4)):
             got = stacked.local_error(stacked._probe(amps), t, h)
             want = [s.local_error(s._probe(psi), t, h)[0] for s, psi in zip(solos, psis)]
@@ -493,9 +495,8 @@ class TestBatch:
             vecs.append(scale * (rng.normal(size=size) + 1j * rng.normal(size=size)))
         stacked = scipy.sparse.block_diag(mats, format="csr")
         stacked.sort_indices()
-        kernel = CsrExpm(stacked.indptr, stacked.indices, stacked.shape[0])
         blocks = (slice(0, 6), slice(6, 11))
-        got = kernel.apply(stacked.data, np.concatenate(vecs), blocks=blocks)
+        got = CsrExpm().apply(stacked.dot, np.concatenate(vecs), blocks=blocks)
         for m, v, b in zip(mats, vecs, blocks):
             want = scipy.linalg.expm(m) @ v
             assert np.linalg.norm(got[b] - want) <= 1e-12 * np.linalg.norm(want)
@@ -519,7 +520,9 @@ class TestBatch:
             propagate([], self.CFG)
 
     def test_steps_without_a_cached_term_table(self, monkeypatch):
-        # each block is assembled once, so no table is held through the stepping
+        # the stepper applies its operators from the spin terms and builds
+        # no term table, so none is held through the stepping
+        model.release_term_tables()
         cached = []
         advance = _Stepper.advance
 
@@ -534,10 +537,9 @@ class TestBatch:
 
     def test_dimension_cap_per_block(self, monkeypatch):
         # max_dim bounds each block's full joint dimension, checked before
-        # any block is assembled
+        # any block's factors are built
         built = []
-        for name in ("build_H_battery", "build_H_static", "drive_operator",
-                     "drive_commutator", "nested_commutators"):
+        for name in ("build_H_battery", "build_H_static", "drive_operator", "spin_terms"):
             monkeypatch.setattr(dynamics, name, lambda *args, name=name: built.append(name))
         small, large = ModelParams(N=1, N_ph=2), ModelParams(N=4, N_ph=100)
         with pytest.raises(ResourceError):
@@ -618,61 +620,142 @@ class TestTrajectoryCsv:
         assert a.read_bytes() == b.read_bytes()
 
 
+def _inf_norm(mat):
+    return float(abs(mat).sum(axis=1).max()) if mat.nnz else 0.0
+
+
+def _assembled(p, space):
+    """H_on, a'+a, C and the two nested commutators of the model builders."""
+    h_on = build_H_battery(p, space).mat + build_H_static(p, space).mat
+    with_static, with_drive = nested_commutators(p, space)
+    return (h_on, drive_operator(p, space).mat, drive_commutator(p, space).mat,
+            with_static.mat, with_drive.mat)
+
+
+def _random_state(dim, rng):
+    return rng.normal(size=dim) + 1j * rng.normal(size=dim)
+
+
+def _assert_applies(got, want):
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+# Direct and geometric coupling, g = 0, eta = 0, N_ph < N (N_ph = 0 at
+# N = 1) and omega0, omegac != 1.
+FACTOR_CASES = (
+    lambda n: ModelParams(N=n, g=0.5, eta=0.8, omega0=1.3, omegac=0.7),
+    lambda n: ModelParams(N=n, g=0.3, omegac=1.4, coupling_mode="geometric", alpha_angle=0.4),
+    lambda n: ModelParams(N=n, g=0.0, eta=-0.6, N_ph=5, n_init=0),
+    lambda n: ModelParams(N=n, g=0.9, eta=0.0, N_ph=5, n_init=0),
+    lambda n: ModelParams(N=n, g=0.4, eta=0.5, omega0=0.8, N_ph=n // 2, n_init=0),
+)
+
+
+class TestFactoredApply:
+    """The stepper applies every operator from its spin x cavity factors;
+    the model builders' assembled matrices are the reference."""
+
+    @pytest.mark.parametrize("space", ["full", "even"])
+    @pytest.mark.parametrize("n_atoms", range(1, 9))
+    def test_operators_equal_the_builders(self, n_atoms, space):
+        rng = np.random.default_rng(n_atoms)
+        for case in FACTOR_CASES:
+            p = case(n_atoms)
+            stepper = _Stepper(p, space)
+            ops = _assembled(p, space)
+            v = _random_state(p.dims.space_dim(space), rng)
+            for got, want in zip(stepper._probe(v), ops):
+                _assert_applies(got, want @ v)
+            c, kappa = 0.7, 0.3j
+            _assert_applies(stepper.matvec(v, stepper.drive_scales(c, kappa)),
+                            (ops[0] + c * ops[1] + kappa * ops[2]) @ v)
+            # the per-block infinity norms give the Taylor plan
+            for got, want in zip((stepper.norm_on, stepper.norm_drive, stepper.norm_comm), ops):
+                assert got[0] == pytest.approx(_inf_norm(want), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("space", ["full", "even"])
+    def test_padded_batch_blocks_equal_their_solo_operators(self, space):
+        # N = 1..6 at N_ph = 4N with a different omegac per block: every
+        # block is padded to the N = 6 block's 25 Fock levels but that one
+        batch = [ModelParams(N=n, g=0.6, eta=-0.4, Omega=0.5, omegac=0.8 + 0.1 * n)
+                 for n in range(1, 7)]
+        stepper = _Stepper(batch, space)
+        rng = np.random.default_rng(11)
+        vectors = [_random_state(p.dims.space_dim(space), rng) for p in batch]
+        amps = stepper.pack(vectors)
+        padding = stepper.pack([np.ones(len(v)) for v in vectors]) == 0
+        assert np.count_nonzero(padding) > 0 and np.all(amps[padding] == 0)
+        c, kappa = -0.4, 0.2j
+        applied = (*stepper._probe(amps), stepper.matvec(amps, stepper.drive_scales(c, kappa)))
+        for out in applied:
+            assert np.all(out[padding] == 0)
+        for k, (p, v) in enumerate(zip(batch, vectors)):
+            ops = _assembled(p, space)
+            wants = (*(op @ v for op in ops), (ops[0] + c * ops[1] + kappa * ops[2]) @ v)
+            for out, want in zip(applied, wants):
+                _assert_applies(stepper.unpack(out)[k], want)
+            for got, want in zip((stepper.norm_on, stepper.norm_drive, stepper.norm_comm), ops):
+                assert got[k] == pytest.approx(_inf_norm(want), rel=1e-12, abs=0.0)
+        # a Taylor apply keeps the padding at zero too
+        out = stepper.step(amps, 0.3, 0.05, True, stepper._probe(amps))
+        assert np.all(out[padding] == 0)
+        assert [np.array_equal(a, b) for a, b in zip(stepper.unpack(amps), vectors)] == [True] * 6
+
+    def test_batch_of_one_has_no_padding(self):
+        p = ModelParams(N=3, N_ph=4)
+        stepper = _Stepper(p, "even")
+        v = np.arange(p.dims.space_dim("even"), dtype=complex)
+        assert np.array_equal(stepper.pack([v]), v)
+        assert np.shares_memory(stepper.unpack(v)[0], v)
+
+
 class TestStepperInternals:
     def test_pattern_alignment_reconstructs_operators(self):
         # omega0 J_z + omegac a'a vanishes on |gg> x |1> and, in the full
-        # space, on |eg>, |ge> x |0>: diagonal positions outside the pattern
+        # space, on |eg>, |ge> x |0>
         p = ModelParams(N=2, g=0.4, Omega=0.3, eta=0.6, N_ph=3)
         for space in ("full", "even"):
-            self._check_alignment(p, space)
+            self._check_factors(p, space)
 
     @staticmethod
-    def _check_alignment(p, space):
+    def _check_factors(p, space):
+        # The stepper's factors, put back together with Kronecker products,
+        # are the builders' operators.
         stepper = _Stepper(p, space)
-        kernel = stepper.kernel
-        dim = p.dims.space_dim(space)
-
-        def on_pattern(data):
-            return scipy.sparse.csr_matrix((data, kernel.indices, kernel.indptr), shape=(dim, dim))
-
-        def at_drive(data):
-            out = np.zeros(len(kernel.indices), dtype=complex)
-            out[stepper.drive_pos] = data
-            return on_pattern(out)
-
+        boson_dim = p.dims.boson_dim
+        spin_dim = p.dims.space_dim(space) // boson_dim
+        lower = scipy.sparse.diags(stepper.weights, 1)  # I x a on the joint grid
         h_b = build_H_battery(p, space).mat
-        h_on = h_b + build_H_static(p, space).mat
         drive = drive_operator(p, space).mat
-        for got, want in ((on_pattern(stepper.data_on), h_on),
-                          (at_drive(stepper.drive_data), drive),
-                          (at_drive(stepper.comm_data), drive_commutator(p, space).mat)):
-            assert np.array_equal(got.toarray(), want.toarray())
-        # the kernel pattern is the union of the nonzeros of H_on and a'+a
-        union = (abs(h_on) + abs(drive)).tocsr()
-        union.sort_indices()
-        assert np.array_equal(kernel.indptr, union.indptr)
-        assert np.array_equal(kernel.indices, union.indices)
-        # H_b is diagonal and enters the stepper as its diagonal alone
+        # H_b is diagonal and enters the stepper as its diagonal alone, and
+        # the Fock weights are the entries of a'+a
         assert h_b.count_nonzero() == np.count_nonzero(h_b.diagonal())
         assert np.array_equal(stepper.diag_off, h_b.diagonal().real)
-        assert not hasattr(stepper, "data_off")
-        # the drive positions are exactly the nonzeros of a'+a
-        assert len(stepper.drive_pos) == drive.count_nonzero()
-        assert np.count_nonzero(stepper.drive_data) == len(stepper.drive_pos)
+        assert np.array_equal((lower + lower.T).toarray(), drive.toarray())
+        assert np.array_equal((scipy.sparse.diags(stepper.omegac) @ (lower.T - lower)).toarray(),
+                              drive_commutator(p, space).to_dense())
+        jx, flips = stepper.spin_stack[:spin_dim], stepper.spin_stack[spin_dim:]
+        eye = scipy.sparse.identity(boson_dim)
+        h_on = (scipy.sparse.diags(stepper.diag_on) + scipy.sparse.kron(flips, eye)
+                + scipy.sparse.kron(jx, eye) @ (lower + lower.T))
+        want = (h_b + build_H_static(p, space).mat).toarray()
+        assert np.abs(h_on.toarray() - want).max() <= 1e-15 * np.abs(want).max()
 
     def test_entries_off_the_positions_raise(self):
-        mat = scipy.sparse.csr_matrix(np.array([[1.0, 0.0], [2.0, 3.0]], dtype=complex))
-        keys = np.array([0, 2, 3])  # row * 2 + col of the three nonzeros
-        assert np.array_equal(_entries(mat, keys), [1.0, 2.0, 3.0])
-        # positions without an entry read as zero
-        assert np.array_equal(_entries(mat, np.arange(4)), [1.0, 0.0, 2.0, 3.0])
-        # a missing key, past the last one or inside, raises
-        for missing in (keys[:2], keys[1:], keys[[0, 2]]):
+        # J_z enters the stepper as its diagonal, so an entry off the
+        # diagonal would be lost: it raises instead
+        mat = scipy.sparse.csr_matrix(np.diag([1.0, 0.0, 3.0]))
+        assert np.array_equal(_diagonal(mat), [1.0, 0.0, 3.0])
+        for row, col in ((0, 2), (2, 1)):
+            off = mat.tolil()
+            off[row, col] = 2.0
             with pytest.raises(AssertionError, match="outside the positions read"):
-                _entries(mat, missing)
-        # a stored zero is no entry to place
-        mat.data[0] = 0.0
-        assert np.array_equal(_entries(mat, keys[1:]), [2.0, 3.0])
+                _diagonal(off.tocsr())
+        # a stored zero is no entry to lose
+        stored = scipy.sparse.csr_matrix((np.array([1.0, 0.0]), np.array([0, 1]),
+                                          np.array([0, 2, 2])), shape=(2, 2))
+        assert stored.nnz == 2
+        assert np.array_equal(_diagonal(stored), [1.0, 0.0])
 
     @pytest.mark.parametrize("space", ["full", "even"])
     def test_charger_off_step_is_the_exact_phase(self, space):
@@ -690,16 +773,17 @@ class TestStepperInternals:
         p = ModelParams(N=3, g=0.5, Omega=1.0, eta=0.8, N_ph=4)
         stepper = _Stepper(p)
         amps = _state_at(p, 0.4)
-        matvecs = []
-        dot = stepper.kernel._mat.dot
+        probe = stepper._probe(amps)
+        products = []
+        spin = stepper._spin
 
-        def counting(v):
-            matvecs.append(1)
-            return dot(v)
+        def counting(mat, v):
+            products.append(1)
+            return spin(mat, v)
 
-        stepper.kernel._mat.dot = counting
+        stepper._spin = counting
         want = stepper.step(amps, 0.3, 0.05, True)
-        plain = len(matvecs)
-        got = stepper.step(amps, 0.3, 0.05, True, stepper._probe(amps))
-        assert len(matvecs) - plain == plain - 1
+        plain = len(products)
+        got = stepper.step(amps, 0.3, 0.05, True, probe)
+        assert len(products) - plain == plain - 1
         assert np.abs(got - want).max() <= 1e-15
