@@ -23,9 +23,11 @@ from dickeqb.dynamics import (
 from dickeqb.model import ModelParams, dipole_coupling, eta_matrix, initial_state
 from dickeqb.observables import (
     GroundStateResult,
+    JzMoments,
     charging_power,
     energy_fluctuation,
     ground_state,
+    jz_moments,
     magnetization,
     stored_energy,
 )
@@ -37,6 +39,7 @@ __all__ = [
     "FitResult",
     "GroundStateResult",
     "HilbertDims",
+    "JzMoments",
     "MaxRecord",
     "ModelParams",
     "PropagationConfig",
@@ -53,6 +56,7 @@ __all__ = [
     "fit_power_law",
     "ground_state",
     "initial_state",
+    "jz_moments",
     "magnetization",
     "oracle_propagate",
     "propagate",

@@ -38,10 +38,13 @@ the state never leaves the span of P = V x I_b, V the spin isometry of
 ``model.reflection_isometry``.  The stepper applies its operators there
 from the sector spin terms V' S V, so they equal P' M P; no full-space
 operator or state is stepped.  That is about half the dimension of the
-full space at N >= 5, with the same step plan; each sample is lifted back
-to the full joint basis before the observables are taken.
-``step_magnus4`` acts on the full space, with the full spin terms, so it
-stays exact on any state.
+full space at N >= 5, with the same step plan.  The observables are J_z
+moments, which the sector gives exactly: J_z has the same value on both
+states of a mirror pair, so V' J_z^k V is the sector's diagonal J_z to the
+k-th power.  Each sample is therefore recorded in the sector, from |x|^2
+and the sector's J_z diagonal (see ``_Recorder``), and only the final
+state is lifted to the full joint basis.  ``step_magnus4`` acts on the
+full space, with the full spin terms, so it stays exact on any state.
 
 ``propagate`` also takes a batch: parameter sets that share the time
 dependence (Omega, omegad and T), such as the N = 1..6 points of a sweep
@@ -61,8 +64,9 @@ solo run.
 The independent reference ``oracle_propagate`` integrates i psi' = H(t) psi
 in the full space with the 8th-order Runge-Kutta method DOP853 (Hairer,
 Norsett & Wanner, Solving ODEs I, Springer 1993) on the operators the
-model builders assemble.  It shares only the spin and cavity terms and the
-sample times with that code path and cross-validates it.
+model builders assemble.  It shares only the spin and cavity terms, the
+sample times and the recorder, which it runs on the full space's J_z
+diagonal, with that code path and cross-validates it.
 """
 
 from __future__ import annotations
@@ -91,7 +95,6 @@ from dickeqb.model import (
     drive_coefficient,
     drive_operator,
     initial_state,
-    reflection_isometry,
     spin_terms,
 )
 from dickeqb.operators import StateVector
@@ -380,6 +383,8 @@ class _Stepper:
         self.height = sum(heights)
         edges = self.width * np.cumsum([0] + heights)
         self.blocks = tuple(slice(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]))
+        # Where each block starts in the amplitudes viewed as real numbers.
+        self.block_starts = 2 * edges[:-1]
         self.jx = sp.block_diag([part.jx for part in parts], format="csr")
         self.spin_stack = sp.vstack([self.jx, sp.block_diag([part.flips for part in parts])],
                                     format="csr")
@@ -491,7 +496,7 @@ class _Stepper:
 
     def local_error(self, probe, t: float, h: float) -> np.ndarray:
         """Estimated local error ||(Omega6 - Omega4) psi_k|| of a driven step,
-        one per block.
+        one per block, from one reduction over the batch.
 
         Omega6 is the three-node Gauss-Magnus-6 exponent (Blanes et al. 2009):
         alpha1 + alpha3/12 + [X, Y]/240 with X = -20 alpha1 - alpha3 + C1 and
@@ -527,7 +532,7 @@ class _Stepper:
         diff = ((-1j * (h * (k2 - 0.5 * (c_a + c_b)) + b3 / 12.0)) * d_psi
                 - (MAGNUS_COMMUTATOR_WEIGHT * h * h * (c_b - c_a)) * c_psi
                 + xy_yx / 240.0)
-        return np.array([np.linalg.norm(diff[b]) for b in self.blocks])
+        return np.sqrt(np.add.reduceat(np.square(diff.view(np.float64)), self.block_starts))
 
     def advance(self, amps: np.ndarray, t: float, length: float, on: bool):
         """Cover [t, t + length] in n equal steps, n the smallest count at which
@@ -550,39 +555,6 @@ class _Stepper:
         for i in range(n):
             amps = self.step(amps, t + i * h, h, on, probe if i == 0 else None)
         return amps, n, n * errors
-
-
-class _Sector:
-    """Maps between the full joint space and its reflection-even sector,
-    spanned by P = V x I_b.
-
-    V is the spin isometry of ``reflection_isometry``.  Sector coordinate
-    c * boson_dim + n lifts to weight * x on the joint indices of the
-    representative s and its mirror R s (one index for a palindrome), so a
-    sample is lifted by scatter, without a matvec.
-    """
-
-    def __init__(self, params: ModelParams):
-        iso = reflection_isometry(params.N).tocsc()
-        boson_dim = params.dims.boson_dim
-        self.total_dim = params.dims.total_dim
-        photons = np.arange(boson_dim)
-        first, last = iso.indptr[:-1], iso.indptr[1:] - 1
-        self.reps = (iso.indices[first, None] * boson_dim + photons).ravel()
-        self.mirrors = (iso.indices[last, None] * boson_dim + photons).ravel()
-        self.weights = np.repeat(iso.data[first], boson_dim)
-
-    def restrict(self, amps: np.ndarray) -> np.ndarray:
-        """P' amps."""
-        return (amps[self.reps] + amps[self.mirrors]) * (0.5 / self.weights)
-
-    def lift(self, amps: np.ndarray) -> np.ndarray:
-        """P amps, a vector on the full joint basis."""
-        out = np.zeros(self.total_dim, dtype=np.complex128)
-        scaled = self.weights * amps
-        out[self.reps] = scaled
-        out[self.mirrors] = scaled
-        return out
 
 
 @lru_cache(maxsize=4)
@@ -650,54 +622,95 @@ def _sample_intervals(cfg: PropagationConfig, T):
 
 
 class _Recorder:
-    """Accumulates the sampled observable series of one run."""
+    """Accumulates the sampled observable series of a batch's runs from the
+    J_z moments of each sample.
 
-    def __init__(self, params: ModelParams, state0: StateVector):
-        self.params = params
-        self.state0 = state0
+    A sample has the stepper's layout in ``space``: block k is an
+    (S_k, ``width``) grid of spin rows x Fock levels, the blocks stacked in
+    batch order, and the levels above a block's own N_ph are zero; a joint
+    state in the full space is a batch of one with width N_ph + 1.  One
+    product of ``moment_rows`` with |x|^2, viewed as a real (spin, 2 width)
+    grid, sums |x|^2, J_z |x|^2 and J_z^2 |x|^2 over each block's spin rows,
+    per Fock level; ``fock_columns`` then sums those over every level, and
+    picks the top level |N_ph> for the edge population.  That is exact in
+    the reflection-even sector too: J_z is diagonal there, with the value it
+    has on both states of a mirror pair.  The moments of the initial state
+    ``amps0``, which dE_b is measured from, are taken once.
+    """
+
+    def __init__(self, batch, space: str, width: int, amps0: np.ndarray):
+        self.batch = batch
+        self.spins = [spin_terms(p.N, space) for p in batch]
+        jzs = [_diagonal(spin.jz) for spin in self.spins]
+        self.height = sum(len(jz) for jz in jzs)
+        # Row q * count + k sums block k's q-th moment: its population, <J_z>,
+        # <J_z^2> and top-level population.
+        count = len(batch)
+        self.moment_rows = np.zeros((4 * count, self.height))
+        self.fock_columns = np.zeros((4 * count, 2 * width))
+        self.fock_columns[:3 * count] = 1.0
+        start = 0
+        for k, (p, jz) in enumerate(zip(batch, jzs)):
+            rows = slice(start, start + len(jz))
+            ones = np.ones_like(jz)
+            self.moment_rows[k::count, rows] = (ones, jz, jz * jz, ones)
+            self.fock_columns[3 * count + k, 2 * p.photon_cutoff:2 * p.photon_cutoff + 2] = 1.0
+            start = rows.stop
+        self.moments0 = [obs.JzMoments(mean, square)
+                         for _, mean, square, _ in zip(*self._moments(amps0))]
         self.times = []
-        self.E_b = []
-        self.P_b = []
-        self.dE_b = []
-        self.Jz = []
-        self.norms = []
-        self.edge_population = 0.0
-        self.last_state = None
+        self.samples = [[] for _ in batch]
+        self.edge_population = [0.0] * count
+
+    def _moments(self, amps: np.ndarray) -> list:
+        """Each block's population, <J_z>, <J_z^2> and top-level population,
+        as four lists over the blocks."""
+        prob = np.square(amps.view(np.float64)).reshape(self.height, -1)
+        moments = ((self.moment_rows @ prob) * self.fock_columns).sum(axis=1)
+        return moments.reshape(4, -1).tolist()
 
     def record(self, t: float, amps: np.ndarray) -> None:
-        nrm = float(np.linalg.norm(amps))
-        if abs(nrm - 1.0) > NORM_DRIFT_LIMIT:
-            raise IntegrationError(
-                f"norm drift {abs(nrm - 1.0):.3e} at t={t:.6g} exceeds {NORM_DRIFT_LIMIT}; "
-                "the Taylor kernel's drift grows with ||H|| and the run length, not with dt: "
-                "lower the photon cutoff N_ph or shorten t_max"
-            )
-        state = StateVector(self.params.dims, amps.copy(), norm_atol=2 * NORM_DRIFT_LIMIT)
-        energy = obs.stored_energy(state, self.params)
+        """Record the sample ``amps`` (contiguous) at time t."""
+        pops, means, squares, tops = self._moments(amps)
+        norms = [math.sqrt(pop) for pop in pops]
+        for p, nrm in zip(self.batch, norms):
+            if abs(nrm - 1.0) > NORM_DRIFT_LIMIT:
+                raise IntegrationError(
+                    f"norm drift {abs(nrm - 1.0):.3e} at t={t:.6g} (N={p.N}) exceeds "
+                    f"{NORM_DRIFT_LIMIT}; the Taylor kernel's drift grows with ||H|| and the "
+                    "run length, not with dt: lower the photon cutoff N_ph or shorten t_max"
+                )
         self.times.append(t)
-        self.E_b.append(energy)
-        self.P_b.append(obs.charging_power(energy, t))
-        self.dE_b.append(obs.energy_fluctuation(state, self.state0, self.params))
-        self.Jz.append(obs.jz_mean(state))
-        self.norms.append(nrm)
-        top = amps[self.params.photon_cutoff::self.params.dims.boson_dim]
-        self.edge_population = max(self.edge_population, float(np.vdot(top, top).real))
-        self.last_state = state
+        for k, p in enumerate(self.batch):
+            moments = obs.JzMoments(means[k], squares[k])
+            energy = obs.stored_energy(moments, p)
+            self.samples[k].append((energy, obs.charging_power(energy, t),
+                                    obs.energy_fluctuation(moments, self.moments0[k], p),
+                                    moments.mean, norms[k]))
+            self.edge_population[k] = max(self.edge_population[k], tops[k])
 
-    def build(self, steps: int = 0, step_error: float = 0.0) -> Trajectory:
-        return Trajectory(
-            times=np.asarray(self.times),
-            E_b=np.asarray(self.E_b),
-            P_b=np.asarray(self.P_b),
-            dE_b=np.asarray(self.dE_b),
-            Jz_mean=np.asarray(self.Jz),
-            norms=np.asarray(self.norms),
-            params=self.params,
-            final_state=self.last_state,
-            edge_population=self.edge_population,
-            steps=steps,
-            step_error=step_error,
-        )
+    def build(self, parts, steps: int = 0, step_errors=None) -> list:
+        """One Trajectory per block, with ``parts`` the last sample's block
+        amplitudes in their own coordinates, lifted to the full joint basis."""
+        step_errors = [0.0] * len(self.batch) if step_errors is None else step_errors
+        trajectories = []
+        for p, spin, samples, part, edge, error in zip(
+                self.batch, self.spins, self.samples, parts, self.edge_population, step_errors):
+            E_b, P_b, dE_b, jz_mean, norms = (np.array(column) for column in zip(*samples))
+            trajectories.append(Trajectory(
+                times=np.asarray(self.times),
+                E_b=E_b,
+                P_b=P_b,
+                dE_b=dE_b,
+                Jz_mean=jz_mean,
+                norms=norms,
+                params=p,
+                final_state=StateVector(p.dims, spin.lift(part), norm_atol=2 * NORM_DRIFT_LIMIT),
+                edge_population=edge,
+                steps=steps,
+                step_error=float(error),
+            ))
+        return trajectories
 
 
 def _check_dim(params: ModelParams, cap: int) -> None:
@@ -719,10 +732,9 @@ def propagate(params, cfg: PropagationConfig | None = None):
     reflection, so the state stays there.  A batch steps as one
     block-diagonal system with the tolerances held per block (see the module
     docstring); each entry reports the batch's step count and its own error
-    estimate.  Samples and the final state are lifted to the full joint
-    basis.  Raises ResourceError when an entry's dimension exceeds
-    ``max_dim`` and IntegrationError when an entry's norm drifts beyond
-    1e-6.
+    estimate.  The final state is lifted to the full joint basis.  Raises
+    ResourceError when an entry's dimension exceeds ``max_dim`` and
+    IntegrationError when an entry's norm drifts beyond 1e-6.
     """
     cfg = cfg or PropagationConfig()
     batch = _batch(params)
@@ -737,27 +749,25 @@ def _magnus4_batch(batch, cfg: PropagationConfig) -> list:
     """magnus4 trajectories of a batch, stepped as one block-diagonal system."""
     for p in batch:
         _check_dim(p, cfg.max_dim)
-    sectors = [_Sector(p) for p in batch]
     stepper = _Stepper(batch, "even")
-    states0 = [initial_state(p) for p in batch]
-    recorders = [_Recorder(p, state0) for p, state0 in zip(batch, states0)]
-
-    def record(t, amps):
-        for recorder, sector, part in zip(recorders, sectors, stepper.unpack(amps)):
-            recorder.record(t, sector.lift(part))
-
-    amps = stepper.pack([sector.restrict(state0.amplitudes)
-                         for sector, state0 in zip(sectors, states0)])
-    record(0.0, amps)
+    # |g...g> is spin state 0 of the sector (column 0 of reflection_isometry),
+    # so each block starts as the unit vector at (0, n_init).
+    starts = []
+    for p in batch:
+        start = np.zeros(p.dims.space_dim("even"), dtype=np.complex128)
+        start[p.initial_photons] = 1.0
+        starts.append(start)
+    amps = stepper.pack(starts)
+    recorder = _Recorder(batch, "even", stepper.width, amps)
+    recorder.record(0.0, amps)
     steps, step_errors = 0, np.zeros(len(batch))
     for t1, pieces in _sample_intervals(cfg, batch[0].T):
         for a, length, on in pieces:
             amps, n, errors = stepper.advance(amps, a, length, on)
             steps += n
             step_errors += errors
-        record(t1, amps)
-    return [recorder.build(steps=steps, step_error=float(error))
-            for recorder, error in zip(recorders, step_errors)]
+        recorder.record(t1, amps)
+    return recorder.build(stepper.unpack(amps), steps=steps, step_errors=step_errors)
 
 
 def oracle_propagate(params: ModelParams, cfg: PropagationConfig | None = None) -> Trajectory:
@@ -786,7 +796,7 @@ def oracle_propagate(params: ModelParams, cfg: PropagationConfig | None = None) 
         return -1j * (h_off @ y)
 
     amps = initial_state(params).amplitudes
-    recorder = _Recorder(params, StateVector(params.dims, amps))
+    recorder = _Recorder((params,), "full", params.dims.boson_dim, amps)
     recorder.record(0.0, amps)
     for t1, pieces in _sample_intervals(cfg, params.T):
         for a, length, on in pieces:
@@ -794,6 +804,6 @@ def oracle_propagate(params: ModelParams, cfg: PropagationConfig | None = None) 
                             method="DOP853", rtol=ORACLE_TOL, atol=ORACLE_TOL)
             if not sol.success:
                 raise NumericalError(f"DOP853 failed on [{a:.6g}, {a + length:.6g}]: {sol.message}")
-            amps = sol.y[:, -1]
+            amps = np.ascontiguousarray(sol.y[:, -1])
         recorder.record(t1, amps)
-    return recorder.build()
+    return recorder.build([amps])[0]

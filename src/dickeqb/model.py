@@ -149,13 +149,27 @@ def eta_matrix(params: ModelParams) -> np.ndarray:
 
 
 class SpinTerms(NamedTuple):
-    """Real spin-space parts of the Hamiltonians, for one atom count N."""
+    """Real spin-space parts of the Hamiltonians, for one atom count N, in
+    one space: everything a stepper or a recorder needs to know of it.
+
+    ``isometry`` maps the space's spin coordinates onto the full spin basis:
+    the identity in the full space, ``reflection_isometry`` in the even
+    sector.  Every space puts |g...g> at spin index 0, and J_z is diagonal
+    in every space.
+    """
 
     jz: sp.csr_matrix
     jx: sp.csr_matrix
     # flip_flops[d - 1] = sum_{|i-j|=d} (s_i^- s_j^+ + s_j^- s_i^+), d = 1..
     # min(COUPLING_CUTOFF, N-1): the couplings depend on |i-j| alone.
     flip_flops: tuple
+    isometry: sp.csr_matrix
+
+    def lift(self, amps: np.ndarray) -> np.ndarray:
+        """A joint state in this space's coordinates spin * (N_ph + 1) + n,
+        on the full joint basis."""
+        grid = np.reshape(amps, (self.isometry.shape[1], -1))
+        return (self.isometry @ grid).ravel()
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -192,8 +206,8 @@ def _spin_terms(n_atoms: int) -> SpinTerms:
     (s, s ^ (2^(N-i) | 2^(N-i-d))) for every pair (i, i+d) whose two bits
     differ in s.  Those are exactly the entries of the sums of
     ``operators.site_operator`` products they stand for, with the same
-    values.  The matrices are shared by every caller, so their arrays are
-    read-only; combine them only out of place.
+    values.  The isometry is the identity.  The matrices are shared by every
+    caller, so their arrays are read-only; combine them only out of place.
     """
     dim = 2**n_atoms
     states = np.arange(dim, dtype=np.int64)
@@ -214,6 +228,7 @@ def _spin_terms(n_atoms: int) -> SpinTerms:
         jz=_spin_matrix(dim, states[stored], states[stored], jz[stored]),
         jx=flips(site_bits, np.ones((dim, n_atoms), dtype=bool), 0.5),
         flip_flops=tuple(flip_flop(d) for d in range(1, min(COUPLING_CUTOFF, n_atoms - 1) + 1)),
+        isometry=_spin_matrix(dim, states, states, 1.0),
     )
 
 
@@ -250,7 +265,8 @@ def reflection_isometry(n_atoms: int) -> sp.csr_matrix:
 @lru_cache(maxsize=16)
 def _even_spin_terms(n_atoms: int) -> SpinTerms:
     """V' S V for every matrix S of ``_spin_terms``, V = ``reflection_isometry``:
-    the spin terms on the reflection-even sector, read-only like them.
+    the spin terms on the reflection-even sector, read-only like them, with
+    V as the isometry.
 
     Exact because every S commutes with the site reflection (the couplings
     depend on |i-j| alone).
@@ -265,6 +281,7 @@ def _even_spin_terms(n_atoms: int) -> SpinTerms:
         jz=restrict(full.jz),
         jx=restrict(full.jx),
         flip_flops=tuple(restrict(f_d) for f_d in full.flip_flops),
+        isometry=v,
     )
 
 

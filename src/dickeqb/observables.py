@@ -1,24 +1,30 @@
 """Figures of merit: stored energy, charging power, fluctuation, magnetization.
 
-All battery observables derive from the diagonal operator J_z, so they are
-evaluated from cached diagonals in O(dim) per sample instead of sparse
-matvecs.  The ground-state solver for the (eta, g) phase diagram lives here
-as well; it solves a Hamiltonian with all-real entries, as the model's are,
-in real symmetric arithmetic.  The model builds those Hamiltonians from
-the term table it caches per (N, N_ph).
+Every battery figure of merit is a function of the J_z moments <J_z> and
+<J_z^2>: E_b = omega0 (<J_z> + N/2), P_b = E_b / t and dE_b the growth of
+omega0 sqrt(<J_z^2> - <J_z>^2).  So ``stored_energy`` and
+``energy_fluctuation`` take ``JzMoments``, which ``jz_moments`` gives for a
+state and the propagation recorder reads off |x|^2 with the J_z diagonal
+of the space it steps in.  J_z is diagonal in every space, and its
+diagonal comes from the model's bit-built spin terms.  The ground-state
+solver for the (eta, g) phase diagram lives here as well; it solves a
+Hamiltonian with all-real entries, as the model's are, in real symmetric
+arithmetic.  The model builds those Hamiltonians from the term table it
+caches per (N, N_ph).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse.linalg as spla
 
 from dickeqb.errors import ContractError, NumericalError
-from dickeqb.operators import HilbertDims, SparseOperator, StateVector
+from dickeqb.model import spin_terms
+from dickeqb.operators import SparseOperator, StateVector
 
 VARIANCE_FLOOR = -1e-10
 DEGENERACY_GAP = 1e-10
@@ -30,38 +36,40 @@ DENSE_SOLVER_DIM = 32
 DENSE_FALLBACK_MAX_DIM = 4096
 
 
-@lru_cache(maxsize=32)
-def _jz_diagonal(dims: HilbertDims) -> np.ndarray:
-    """Diagonal of J_z over the joint basis (J_z is diagonal by construction)."""
-    n, bdim = dims.n_atoms, dims.boson_dim
-    spin_idx = np.arange(dims.spin_dim)
-    # popcount of the big-endian site bits = number of excited atoms
-    excited = np.array([bin(s).count("1") for s in spin_idx], dtype=float)
-    jz_spin = excited - n / 2.0
-    out = np.repeat(jz_spin, bdim)
-    out.flags.writeable = False
-    return out
+class JzMoments(NamedTuple):
+    """<J_z> and <J_z^2> of a state, the moments every battery figure of
+    merit is a function of."""
+
+    mean: float
+    square: float
+
+
+def _jz_diagonal(n_atoms: int, space: str) -> np.ndarray:
+    """Diagonal of J_z over the spin states of ``space``: that of the
+    model's spin terms, popcount - N/2 (of the representative in the even
+    sector)."""
+    return spin_terms(n_atoms, space).jz.diagonal()
+
+
+def jz_moments(state: StateVector) -> JzMoments:
+    """<J_z> and <J_z^2> on the joint state."""
+    diag = np.repeat(_jz_diagonal(state.dims.n_atoms, "full"), state.dims.boson_dim)
+    prob = np.abs(state.amplitudes) ** 2
+    return JzMoments(float(diag @ prob), float((diag * diag) @ prob))
 
 
 def jz_mean(state: StateVector) -> float:
     """<J_z> on the joint state."""
-    diag = _jz_diagonal(state.dims)
-    prob = np.abs(state.amplitudes) ** 2
-    return float(diag @ prob)
+    return jz_moments(state).mean
 
 
-def _jz_moments(state: StateVector) -> tuple[float, float]:
-    diag = _jz_diagonal(state.dims)
-    prob = np.abs(state.amplitudes) ** 2
-    return float(diag @ prob), float((diag * diag) @ prob)
-
-
-def stored_energy(state_t: StateVector, params) -> float:
-    """Energy gained by the battery relative to the all-ground start.
+def stored_energy(moments: JzMoments, params) -> float:
+    """Energy gained by the battery relative to the all-ground start, from
+    the state's J_z moments.
 
     Equals omega0 * (<J_z>_t + N/2); bounded by [0, N*omega0] up to rounding.
     """
-    return params.omega0 * (jz_mean(state_t) + params.N / 2.0)
+    return params.omega0 * (moments.mean + params.N / 2.0)
 
 
 def charging_power(E_b: float, t: float) -> float:
@@ -73,22 +81,23 @@ def charging_power(E_b: float, t: float) -> float:
     return E_b / t
 
 
-def _hb_std(state: StateVector, omega0: float) -> float:
-    m1, m2 = _jz_moments(state)
-    var = omega0**2 * (m2 - m1 * m1)
+def _hb_std(moments: JzMoments, omega0: float) -> float:
+    var = omega0**2 * (moments.square - moments.mean * moments.mean)
     if var < VARIANCE_FLOOR:
         raise NumericalError(f"negative battery-energy variance {var:.3e}")
-    return float(np.sqrt(max(var, 0.0)))
+    return math.sqrt(max(var, 0.0))
 
 
-def energy_fluctuation(state_t: StateVector, state_0: StateVector, params) -> float:
-    """Growth of the battery-energy standard deviation since t = 0.
+def energy_fluctuation(moments_t: JzMoments, moments_0: JzMoments, params) -> float:
+    """Growth of the battery-energy standard deviation since t = 0, from the
+    J_z moments at t and at t = 0.
 
     Computed as sqrt(Var(H_b))_t - sqrt(Var(H_b))_0 with H_b = omega0 J_z.
     (At omega0 = 1 this coincides with the conventional definition that
-    carries an extra overall omega0 factor.)
+    carries an extra overall omega0 factor.)  Raises NumericalError when a
+    variance is below VARIANCE_FLOOR.
     """
-    return _hb_std(state_t, params.omega0) - _hb_std(state_0, params.omega0)
+    return _hb_std(moments_t, params.omega0) - _hb_std(moments_0, params.omega0)
 
 
 def magnetization(state: StateVector) -> float:
@@ -124,6 +133,9 @@ def ground_state(H_static: SparseOperator) -> GroundStateResult:
     complex Hermitian solve.  The ARPACK start vector is fixed so repeated
     runs are bitwise reproducible.
     """
+    # Imported here: scipy.sparse.linalg would add ~11 ms to every CLI start.
+    import scipy.sparse.linalg as spla
+
     if not H_static.hermitian:
         raise ContractError("ground_state requires a Hermitian operator")
     dims = H_static.dims

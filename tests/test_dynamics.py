@@ -12,6 +12,7 @@ from dickeqb.dynamics import (
     MAGNUS_TOL,
     CsrExpm,
     PropagationConfig,
+    Trajectory,
     _Recorder,
     _Stepper,
     _charging_segments,
@@ -41,7 +42,7 @@ from dickeqb.model import (
     nested_commutators,
     static_hamiltonian,
 )
-from dickeqb.observables import stored_energy
+from dickeqb.observables import charging_power, energy_fluctuation, jz_moments, stored_energy
 from dickeqb.operators import StateVector, expectation
 
 
@@ -247,11 +248,24 @@ class TestPropagate:
 
     def test_norm_drift_guard(self):
         p = ModelParams(N=1, N_ph=1, n_init=0)
-        rec = _Recorder(p, initial_state(p))
-        bad = initial_state(p).amplitudes * 1.001
+        amps = initial_state(p).amplitudes
+        rec = _Recorder((p,), "full", p.dims.boson_dim, amps)
+        bad = amps * 1.001
         with pytest.raises(IntegrationError,
                            match=r"^norm drift .* lower the photon cutoff N_ph or shorten t_max$"):
             rec.record(0.5, bad)
+
+    def test_norm_drift_guard_is_per_block(self):
+        # Only the padded second block drifts.
+        batch = [ModelParams(N=2, N_ph=3, n_init=1), ModelParams(N=3, N_ph=1, n_init=0)]
+        stepper = _Stepper(batch, "even")
+        parts = [np.eye(1, p.dims.space_dim("even"), p.initial_photons)[0] for p in batch]
+        amps = stepper.pack(parts)
+        rec = _Recorder(batch, "even", stepper.width, amps)
+        rec.record(0.0, amps)
+        with pytest.raises(IntegrationError, match=r"^norm drift 1\.000e-03 at t=0\.5 \(N=3\) .* "
+                                                   r"lower the photon cutoff N_ph or shorten t_max$"):
+            rec.record(0.5, stepper.pack([parts[0], 1.001 * parts[1]]))
 
     def test_sampling_grid(self):
         p = ModelParams(N=1, g=0.1, N_ph=2, n_init=1)
@@ -277,39 +291,63 @@ class TestPropagate:
         assert empty.edge_population == 0.0
 
 
-def _full_space_run(p, cfg):
-    """propagate's step plan replayed by a full-space stepper."""
-    stepper = _Stepper(p)
-    state0 = initial_state(p)
-    amps = state0.amplitudes
-    recorder = _Recorder(p, state0)
-    recorder.record(0.0, amps)
-    steps = 0
-    for t1, pieces in _sample_intervals(cfg, p.T):
+def _full_space_run(batch, cfg):
+    """propagate's step plan replayed on the batch by a full-space stepper,
+    each sample's observables taken from its joint states with
+    ``jz_moments``."""
+    stepper = _Stepper(batch)
+    amps = stepper.pack([initial_state(p).amplitudes for p in batch])
+    times, samples, steps = [0.0], [stepper.unpack(amps)], 0
+    for t1, pieces in _sample_intervals(cfg, batch[0].T):
         for a, length, on in pieces:
             amps, n, _ = stepper.advance(amps, a, length, on)
             steps += n
-        recorder.record(t1, amps)
-    return recorder.build(steps=steps)
+        times.append(t1)
+        samples.append(stepper.unpack(amps))
+    runs = []
+    for k, p in enumerate(batch):
+        states = [StateVector(p.dims, sample[k].copy(), norm_atol=1e-8) for sample in samples]
+        moments = [jz_moments(state) for state in states]
+        energies = [stored_energy(m, p) for m in moments]
+        tops = [state.amplitudes[p.photon_cutoff::p.dims.boson_dim] for state in states]
+        runs.append(Trajectory(
+            times=np.array(times),
+            E_b=np.array(energies),
+            P_b=np.array([charging_power(e, t) for e, t in zip(energies, times)]),
+            dE_b=np.array([energy_fluctuation(m, moments[0], p) for m in moments]),
+            Jz_mean=np.array([m.mean for m in moments]),
+            norms=np.array([state.norm() for state in states]),
+            params=p,
+            final_state=states[-1],
+            edge_population=max(float(np.vdot(top, top).real) for top in tops),
+            steps=steps,
+        ))
+    return runs
+
+
+# T = 0.55 splits a sample interval.  The batch pads N = 1..5 to N = 6's
+# Fock dimension, each block with its own omegac.
+REPLAY_CASES = {
+    "direct": [ModelParams(N=5, N_ph=6, g=0.5, Omega=1.0, omegac=1.2, T=0.55, eta=0.8)],
+    "geometric": [ModelParams(N=5, N_ph=6, g=0.5, Omega=1.0, omegac=1.2, T=0.55,
+                              coupling_mode="geometric", alpha_angle=0.4)],
+    "padded-batch": [ModelParams(N=n, g=0.5, Omega=1.0, eta=0.8, omegac=0.8 + 0.1 * n, T=0.55)
+                     for n in range(1, 7)],
+}
 
 
 class TestReflectionSector:
-    @pytest.mark.parametrize(
-        "mode",
-        [dict(eta=0.8), dict(coupling_mode="geometric", alpha_angle=0.4)],
-        ids=["direct", "geometric"],
-    )
-    def test_matches_full_space_replay(self, mode):
-        # T = 0.55 splits a sample interval
-        p = ModelParams(N=5, N_ph=6, g=0.5, Omega=1.0, omegac=1.2, T=0.55, **mode)
+    @pytest.mark.parametrize("case", REPLAY_CASES)
+    def test_matches_full_space_replay(self, case):
+        batch = REPLAY_CASES[case]
         cfg = PropagationConfig(t_max=1.0, dt=0.01, sample_stride=10)
-        got = propagate(p, cfg)
-        want = _full_space_run(p, cfg)
-        assert got.steps == want.steps > len(got.times) - 1
-        for name in ("E_b", "dE_b", "Jz_mean"):
-            assert np.abs(getattr(got, name) - getattr(want, name)).max() <= 1e-12, name
-        assert abs(got.edge_population - want.edge_population) <= 1e-12
-        assert np.abs(got.final_state.amplitudes - want.final_state.amplitudes).max() <= 1e-12
+        for got, want in zip(propagate(batch, cfg), _full_space_run(batch, cfg), strict=True):
+            assert got.steps == want.steps > len(got.times) - 1
+            assert np.array_equal(got.times, want.times)
+            for name in ("E_b", "P_b", "dE_b", "Jz_mean", "norms"):
+                assert np.abs(getattr(got, name) - getattr(want, name)).max() <= 1e-12, name
+            assert abs(got.edge_population - want.edge_population) <= 1e-12
+            assert np.abs(got.final_state.amplitudes - want.final_state.amplitudes).max() <= 1e-12
 
     def test_matches_oracle_on_geometric_chain(self):
         # a 4-site chain has couplings at every distance 1..3
@@ -351,11 +389,11 @@ class TestStepperBuffer:
         cfg = PropagationConfig(t_max=0.37, dt=0.05, sample_stride=1)
         traj = propagate(p, cfg)
         amps = initial_state(p).amplitudes
-        energies = [stored_energy(StateVector(p.dims, amps), p)]
+        energies = [stored_energy(jz_moments(StateVector(p.dims, amps)), p)]
         for _, pieces in _sample_intervals(cfg, p.T):
             for a, length, on in pieces:
                 amps, _, _ = _Stepper(p).advance(amps, a, length, on)
-            energies.append(stored_energy(StateVector(p.dims, amps, norm_atol=1e-8), p))
+            energies.append(stored_energy(jz_moments(StateVector(p.dims, amps, norm_atol=1e-8)), p))
         assert np.abs(traj.final_state.amplitudes - amps).max() < 1e-14
         assert np.abs(traj.E_b - energies).max() < 1e-14
 

@@ -3,15 +3,19 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from dickeqb.errors import ContractError, NumericalError
-from dickeqb.model import ModelParams, initial_state, static_hamiltonian
+from dickeqb.model import ModelParams, initial_state, reflection_isometry, static_hamiltonian
 from dickeqb.observables import (
     DENSE_FALLBACK_MAX_DIM,
     DENSE_SOLVER_DIM,
+    VARIANCE_FLOOR,
     GroundStateResult,
+    JzMoments,
+    _jz_diagonal,
     charging_power,
     energy_fluctuation,
     ground_state,
     jz_mean,
+    jz_moments,
     magnetization,
     stored_energy,
 )
@@ -29,17 +33,17 @@ def state_from_amps(dims, pairs):
 class TestStoredEnergy:
     def test_zero_at_start(self):
         p = ModelParams(N=3, n_init=2)
-        assert stored_energy(initial_state(p), p) == pytest.approx(0.0, abs=1e-12)
+        assert stored_energy(jz_moments(initial_state(p)), p) == pytest.approx(0.0, abs=1e-12)
 
     def test_capacity_at_full_excitation(self):
         p = ModelParams(N=3, omega0=1.2, N_ph=4, n_init=0)
         full = state_from_amps(p.dims, {(p.dims.spin_dim - 1, 0): 1.0})
-        assert stored_energy(full, p) == pytest.approx(3 * 1.2, abs=1e-12)
+        assert stored_energy(jz_moments(full), p) == pytest.approx(3 * 1.2, abs=1e-12)
 
     def test_single_excitation_fraction(self):
         p = ModelParams(N=2, N_ph=2, n_init=0)
         one = state_from_amps(p.dims, {(0b01, 0): 1.0})
-        assert stored_energy(one, p) == pytest.approx(1.0, abs=1e-12)
+        assert stored_energy(jz_moments(one), p) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestChargingPower:
@@ -61,21 +65,41 @@ class TestEnergyFluctuation:
     def test_basis_states_have_zero_std(self):
         p = ModelParams(N=3, n_init=1)
         psi0 = initial_state(p)
-        assert energy_fluctuation(psi0, psi0, p) == 0.0
+        assert energy_fluctuation(jz_moments(psi0), jz_moments(psi0), p) == 0.0
         full = state_from_amps(p.dims, {(p.dims.spin_dim - 1, 0): 1.0})
-        assert energy_fluctuation(full, psi0, p) == 0.0
+        assert energy_fluctuation(jz_moments(full), jz_moments(psi0), p) == 0.0
 
     def test_balanced_superposition(self):
         p = ModelParams(N=1, N_ph=3, n_init=2)
         psi0 = initial_state(p)
-        plus = state_from_amps(p.dims, {(0, 2): 1.0, (1, 2): 1.0})
-        assert energy_fluctuation(plus, psi0, p) == pytest.approx(0.5, abs=1e-12)
+        plus = jz_moments(state_from_amps(p.dims, {(0, 2): 1.0, (1, 2): 1.0}))
+        assert energy_fluctuation(plus, jz_moments(psi0), p) == pytest.approx(0.5, abs=1e-12)
 
     def test_scales_with_omega0(self):
         p = ModelParams(N=1, omega0=2.0, N_ph=1, n_init=0)
         psi0 = initial_state(p)
-        plus = state_from_amps(p.dims, {(0, 0): 1.0, (1, 0): 1.0})
-        assert energy_fluctuation(plus, psi0, p) == pytest.approx(1.0, abs=1e-12)
+        plus = jz_moments(state_from_amps(p.dims, {(0, 0): 1.0, (1, 0): 1.0}))
+        assert energy_fluctuation(plus, jz_moments(psi0), p) == pytest.approx(1.0, abs=1e-12)
+
+
+class TestJzDiagonal:
+    @pytest.mark.parametrize("space", ["full", "even"])
+    @pytest.mark.parametrize("n_atoms", range(1, 11))
+    def test_is_popcount_minus_half_n(self, n_atoms, space):
+        # In the even sector, the popcount of each column's representative,
+        # its first stored row in reflection_isometry.  V' J_z V weighs a
+        # pair's two entries by sqrt(1/2)^2 each, which rounds in the last bit.
+        states = np.arange(2**n_atoms)
+        if space == "even":
+            iso = reflection_isometry(n_atoms).tocsc()
+            states = iso.indices[iso.indptr[:-1]]
+        want = np.array([bin(s).count("1") for s in states]) - n_atoms / 2.0
+        got = _jz_diagonal(n_atoms, space)
+        if space == "full":
+            assert np.array_equal(got, want)
+        else:
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-15
 
 
 class TestMagnetization:
@@ -214,7 +238,7 @@ class TestPartialTraceForm:
         rng = np.random.default_rng(seed)
         amps = rng.normal(size=p.dims.total_dim) + 1j * rng.normal(size=p.dims.total_dim)
         state = StateVector(p.dims, amps / np.linalg.norm(amps))
-        direct = stored_energy(state, p)
+        direct = stored_energy(jz_moments(state), p)
         rho = partial_trace_spin(state)
         jz_spin = 0.5 * sum(site_operator(i, "z", 3).toarray() for i in range(1, 4))
         via_trace = p.omega0 * (np.trace(rho @ jz_spin).real + p.N / 2.0)
@@ -230,4 +254,16 @@ class TestVarianceGuard:
         psi.amplitudes[0] = 0.0
         psi.amplitudes[1] = 1.2
         with pytest.raises(NumericalError):
-            energy_fluctuation(psi, psi, p)
+            energy_fluctuation(jz_moments(psi), jz_moments(psi), p)
+
+    @pytest.mark.parametrize("at", ["t", "0"])
+    def test_moments_below_the_floor_raise(self, at):
+        p = ModelParams(N=2, omega0=1.0)
+        good = JzMoments(0.25, 0.5)
+        bad = JzMoments(0.5, 0.25 + 2.0 * VARIANCE_FLOOR)
+        within = JzMoments(0.5, 0.25 + 0.5 * VARIANCE_FLOOR)
+        pair = (bad, good) if at == "t" else (good, bad)
+        with pytest.raises(NumericalError, match="negative battery-energy variance"):
+            energy_fluctuation(*pair, p)
+        # a variance inside the floor is rounding and counts as 0
+        assert energy_fluctuation(within, within, p) == 0.0
