@@ -436,8 +436,6 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="dickeqb",
         description="Driven Dicke quantum-battery simulator",
     )
-    parser.add_argument("--seed", type=int, default=None,
-                        help="reserved; the engine is deterministic")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, func, help_text, jobs=False, config=True):

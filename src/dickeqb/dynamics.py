@@ -24,12 +24,12 @@ The exponent is applied by the Taylor kernel ``CsrExpm`` defined here: the
 scaled Taylor apply of Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011) 488,
 over a matvec.  The kernel takes the step's scalar -i h apart from the
 operator and multiplies it into the factor it applies to every Taylor term.
-No operator is assembled: every term of the exponent is a spin factor x
-cavity factor (``model.TERMS``), and the stepper's matvec applies them on
-the state viewed as a (spin, Fock) array, with one sparse product of the
-real spin factors and elementwise Fock-level moves (see ``_Stepper``).
-With the charger off only the diagonal H_b acts, and a step is its exact
-phase.
+No operator is assembled: every term of the exponent is a spin factor of
+``model.spin_terms`` x a cavity factor, and the stepper's matvec applies
+them on the state viewed as a (spin, Fock) array, with one sparse product
+of the real spin factors and elementwise Fock-level moves (see
+``_Stepper``).  With the charger off only the diagonal H_b acts, and a
+step is its exact phase.
 
 ``propagate`` steps in the reflection-even sector.  The initial state
 |g...g> x |n_init> and every term of the Hamiltonian are unchanged by the
@@ -91,6 +91,7 @@ from dickeqb.model import (
     ModelParams,
     build_H_battery,
     build_H_static,
+    charger_is_on,
     dipole_coupling,
     drive_coefficient,
     drive_operator,
@@ -340,10 +341,10 @@ class _Stepper:
     drive coefficient c(t) is common to all blocks.
 
     No operator is assembled: every one is applied from its spin x cavity
-    factors (``model.TERMS``).  A block with spin dimension S is laid out
-    as an S x width grid, spin-major, with width the largest N_ph + 1 of
-    the batch; the levels above the block's own N_ph pad it and stay zero,
-    since every weight and diagonal entry there is zero.  A batch of one
+    factors.  A block with spin dimension S is laid out as an S x width
+    grid, spin-major, with width the largest N_ph + 1 of the batch; the
+    levels above the block's own N_ph pad it and stay zero, since every
+    weight and diagonal entry there is zero.  A batch of one
     has no padding, and ``pack``/``unpack`` convert between the layout and
     each block's own coordinates.  H_on v, with the drive terms
     c (a'+a) + kappa C of a driven step, is then four parts: the real
@@ -571,24 +572,21 @@ def step_magnus4(state: StateVector, t: float, dt: float, params: ModelParams) -
         raise DomainError(f"dt must be positive, got {dt}")
     stepper = _shared_stepper(params)
     amps = state.amplitudes
-    for a, b, on in _charging_segments(t, t + dt, params.T):
+    for a, b, on in _charging_segments(t, t + dt, params):
         amps = stepper.step(amps, a, b - a, on)
     return StateVector(state.dims, amps, norm_atol=NORM_DRIFT_LIMIT)
 
 
-def _charging_segments(t0: float, t1: float, T):
-    """Split [t0, t1] at the window edges so the charger state is constant
-    on each piece (the window is [0, T]; T=None means no switch-off)."""
+def _charging_segments(t0: float, t1: float, clock: ModelParams):
+    """Split [t0, t1] at the edges of ``clock``'s charging window so the
+    charger state, ``charger_is_on`` at each piece's midpoint, is constant
+    on each piece."""
     cuts = {t0, t1}
-    for c in (0.0, T):
+    for c in (0.0, clock.T):
         if c is not None and t0 < c < t1:
             cuts.add(c)
     edges = sorted(cuts)
-    segments = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        mid = 0.5 * (a + b)
-        segments.append((a, b, mid >= 0 and (T is None or mid <= T)))
-    return segments
+    return [(a, b, charger_is_on(0.5 * (a + b), clock)) for a, b in zip(edges[:-1], edges[1:])]
 
 
 def _time_grid(cfg: PropagationConfig):
@@ -599,7 +597,7 @@ def _time_grid(cfg: PropagationConfig):
     return edges
 
 
-def _sample_intervals(cfg: PropagationConfig, T):
+def _sample_intervals(cfg: PropagationConfig, clock: ModelParams):
     """Yield (t1, pieces) per sample interval [t0, t1]: the pieces are its
     (start, length, charger on) spans between the window edges.
 
@@ -615,7 +613,7 @@ def _sample_intervals(cfg: PropagationConfig, T):
     nominal = cfg.sample_stride * cfg.dt
     for t0, t1 in zip(times[:-1], times[1:]):
         pieces = []
-        for a, b, on in _charging_segments(t0, t1, T):
+        for a, b, on in _charging_segments(t0, t1, clock):
             length = nominal if math.isclose(b - a, nominal, rel_tol=1e-9) else b - a
             pieces.append((a, length, on))
         yield t1, pieces
@@ -634,8 +632,12 @@ class _Recorder:
     per Fock level; ``fock_columns`` then sums those over every level, and
     picks the top level |N_ph> for the edge population.  That is exact in
     the reflection-even sector too: J_z is diagonal there, with the value it
-    has on both states of a mirror pair.  The moments of the initial state
-    ``amps0``, which dE_b is measured from, are taken once.
+    has on both states of a mirror pair.  dE_b's variances come from the
+    moments divided by the block's population, so a norm drift inside
+    NORM_DRIFT_LIMIT does not drive the variance of a near-eigenstate of J_z
+    below VARIANCE_FLOOR; E_b and Jz_mean take the moments as they are.  The
+    moments of the initial state ``amps0``, which dE_b is measured from, are
+    taken once.
     """
 
     def __init__(self, batch, space: str, width: int, amps0: np.ndarray):
@@ -682,11 +684,11 @@ class _Recorder:
                 )
         self.times.append(t)
         for k, p in enumerate(self.batch):
-            moments = obs.JzMoments(means[k], squares[k])
-            energy = obs.stored_energy(moments, p)
+            energy = obs.stored_energy(obs.JzMoments(means[k], squares[k]), p)
+            normalised = obs.JzMoments(means[k] / pops[k], squares[k] / pops[k])
             self.samples[k].append((energy, obs.charging_power(energy, t),
-                                    obs.energy_fluctuation(moments, self.moments0[k], p),
-                                    moments.mean, norms[k]))
+                                    obs.energy_fluctuation(normalised, self.moments0[k], p),
+                                    means[k], norms[k]))
             self.edge_population[k] = max(self.edge_population[k], tops[k])
 
     def build(self, parts, steps: int = 0, step_errors=None) -> list:
@@ -761,7 +763,7 @@ def _magnus4_batch(batch, cfg: PropagationConfig) -> list:
     recorder = _Recorder(batch, "even", stepper.width, amps)
     recorder.record(0.0, amps)
     steps, step_errors = 0, np.zeros(len(batch))
-    for t1, pieces in _sample_intervals(cfg, batch[0].T):
+    for t1, pieces in _sample_intervals(cfg, batch[0]):
         for a, length, on in pieces:
             amps, n, errors = stepper.advance(amps, a, length, on)
             steps += n
@@ -798,7 +800,7 @@ def oracle_propagate(params: ModelParams, cfg: PropagationConfig | None = None) 
     amps = initial_state(params).amplitudes
     recorder = _Recorder((params,), "full", params.dims.boson_dim, amps)
     recorder.record(0.0, amps)
-    for t1, pieces in _sample_intervals(cfg, params.T):
+    for t1, pieces in _sample_intervals(cfg, params):
         for a, length, on in pieces:
             sol = solve_ivp(rhs_on if on else rhs_off, (a, a + length), amps,
                             method="DOP853", rtol=ORACLE_TOL, atol=ORACLE_TOL)

@@ -6,22 +6,21 @@ coupling 2g(a'+a)J_x, the distance-dependent atomic flip-flop couplings and
 a cosine drive on the cavity quadrature.  Everything is expressed in units
 of the atomic splitting omega0 (hbar = 1).
 
-Every operator below is assembled the same way.  A read-only term table,
-cached per (N, N_ph, space), holds each term spin factor x boson factor of
-TERMS: the spin factors J_z, J_x and the flip-flop distance sums F_d of
-``_spin_terms`` and the identity, restricted to V' S V in the
-reflection-even sector (V = ``reflection_isometry``); the boson factors I,
-a'a, a'+a, a'-a and P = [a, a'].  The full-space spin factors are written
-from the bits of the spin index, with no site-operator Kronecker chain:
-popcounts on the diagonal of J_z, single-bit flips for J_x, and two-bit
-flips of unequal pair bits for F_d.  All terms sit on one CSR pattern, the
-sorted union of their row-major linear positions (a term's positions are
-an outer sum of its factors'), so one parameter set's operator is a
-coefficient combination of term data; its nonzeros become a new matrix,
-which the Hermitian check of SparseOperator then verifies.  Repeated
-assemblies at one (N, N_ph), such as a phase diagram's points, build no
-Kronecker product, and an operator asked for in the sector is never formed
-in the full space.  ``release_term_tables`` drops the cached tables.
+Every operator below is assembled in the full joint space, the same way.
+A read-only term table, cached per (N, N_ph), holds each term spin factor
+x boson factor of TERMS: the spin factors J_z, J_x and the flip-flop
+distance sums F_d of ``_spin_terms`` and the identity; the boson factors
+I, a'a and a'+a.  The spin factors are written from the bits of the spin
+index, with no site-operator Kronecker chain: popcounts on the diagonal of
+J_z, single-bit flips for J_x, and two-bit flips of unequal pair bits for
+F_d.  All terms sit on one CSR pattern, the sorted union of their
+row-major linear positions (a term's positions are an outer sum of its
+factors'), so one parameter set's operator is a coefficient combination
+of term data; its nonzeros become a new matrix, which the Hermitian check
+of SparseOperator then verifies.  Repeated assemblies at one (N, N_ph),
+such as a phase diagram's points, build no Kronecker product.  The
+reflection-even sector has spin terms (``spin_terms``), which the stepper
+applies, but no assembled operator.
 """
 
 from __future__ import annotations
@@ -296,31 +295,24 @@ def spin_terms(n_atoms: int, space: str) -> SpinTerms:
 
 
 def _boson_factors(boson_dim: int) -> dict:
-    """Real cavity factors of the terms on the Fock space 0..N_ph: I, a'a,
-    a'+a, a'-a and P = [a, a'] = diag(1, ..., 1, -N_ph)."""
+    """Real cavity factors of the terms on the Fock space 0..N_ph: I, a'a
+    and a'+a."""
     a = ops.boson_matrix("annihilate", boson_dim)
     a_dag = a.conjugate().T
-    factors = {
-        "1": sp.identity(boson_dim),
-        "a'a": a_dag @ a,
-        "a'+a": a + a_dag,
-        "a'-a": a_dag - a,
-        "P": a @ a_dag - a_dag @ a,
-    }
+    factors = {"1": sp.identity(boson_dim), "a'a": a_dag @ a, "a'+a": a + a_dag}
     return {name: _frozen(mat) for name, mat in factors.items()}
 
 
 # Terms (spin factor, boson factor) that the operators below combine; "1"
 # is an identity, and F<d> = flip_flops[d - 1] adds one term per distance.
-TERMS = (("Jz", "1"), ("1", "a'a"), ("Jx", "a'+a"), ("1", "a'+a"), ("1", "a'-a"),
-         ("Jx", "P"), ("1", "P"))
+TERMS = (("Jz", "1"), ("1", "a'a"), ("Jx", "a'+a"), ("1", "a'+a"))
 
 
 class _TermTable(NamedTuple):
-    """The terms of one (N, N_ph, space) on one CSR pattern, the union of
-    theirs.  ``terms`` maps a term to (spin factor, boson factor, positions):
-    its Kronecker product's k-th stored entry, the product of the factors'
-    data at k // B.nnz and k % B.nnz, sits at positions[k] of the pattern's
+    """The terms of one (N, N_ph) on one CSR pattern, the union of theirs.
+    ``terms`` maps a term to (spin factor, boson factor, positions): its
+    Kronecker product's k-th stored entry, the product of the factors' data
+    at k // B.nnz and k % B.nnz, sits at positions[k] of the pattern's
     data."""
 
     indptr: np.ndarray
@@ -329,16 +321,15 @@ class _TermTable(NamedTuple):
 
 
 @lru_cache(maxsize=8)
-def _term_table(n_atoms: int, n_photon_max: int, space: str) -> _TermTable:
-    """The term table of one (N, N_ph, space), built once.
+def _term_table(n_atoms: int, n_photon_max: int) -> _TermTable:
+    """The term table of one (N, N_ph), built once.
 
     A term is kron(spin factor, boson factor), with the spin factors of
-    ``_spin_terms`` in the full space and of ``_even_spin_terms`` in the
-    even sector, whose spin identity is exact.  Only the positions are
-    stored per entry; the values are the factors' products.  Every caller
-    shares the table, so its arrays are read-only.
+    ``_spin_terms``.  Only the positions are stored per entry; the values
+    are the factors' products.  Every caller shares the table, so its
+    arrays are read-only.
     """
-    spin = spin_terms(n_atoms, space)
+    spin = _spin_terms(n_atoms)
     spin_factors = {"1": _frozen(sp.identity(spin.jz.shape[0])), "Jz": spin.jz, "Jx": spin.jx}
     spin_factors.update((f"F{d}", f_d) for d, f_d in enumerate(spin.flip_flops, start=1))
     boson_dim = n_photon_max + 1
@@ -367,22 +358,16 @@ def _term_table(n_atoms: int, n_photon_max: int, space: str) -> _TermTable:
     )
 
 
-def release_term_tables() -> None:
-    """Drop every cached term table; the next assembly builds its table again."""
-    _term_table.cache_clear()
-
-
-def _assemble(params: ModelParams, space: str, coefficients,
-              hermitian: bool = False) -> SparseOperator:
-    """The operator sum of coefficient * term over ``coefficients``, a list of
-    (term, coefficient) pairs, in ``space`` ("full" or "even").
+def _assemble(params: ModelParams, coefficients) -> SparseOperator:
+    """The Hermitian operator sum of coefficient * term over ``coefficients``,
+    a list of (term, coefficient) pairs.
 
     The sum is formed on the table's pattern and its nonzeros, the entries a
     sparse sum of the terms would keep, become a new matrix that shares no
     array with the table.
     """
-    dim = params.dims.space_dim(space)
-    table = _term_table(params.N, params.photon_cutoff, space)
+    dim = params.dims.total_dim
+    table = _term_table(params.N, params.photon_cutoff)
     data = np.zeros(len(table.indices))
     for key, coefficient in coefficients:
         if coefficient != 0.0:
@@ -390,7 +375,7 @@ def _assemble(params: ModelParams, space: str, coefficients,
             data[positions] += coefficient * np.multiply.outer(spin.data, boson.data).ravel()
     mat = sp.csr_matrix((data, table.indices.copy(), table.indptr.copy()), shape=(dim, dim))
     mat.eliminate_zeros()
-    return SparseOperator(params.dims, mat, hermitian=hermitian, space=space)
+    return SparseOperator(params.dims, mat, hermitian=True)
 
 
 def _static_terms(params: ModelParams) -> list:
@@ -400,12 +385,12 @@ def _static_terms(params: ModelParams) -> list:
     return [(("1", "a'a"), params.omegac), (("Jx", "a'+a"), 2.0 * params.g), *flip_flops]
 
 
-def build_H_battery(params: ModelParams, space: str = "full") -> SparseOperator:
+def build_H_battery(params: ModelParams) -> SparseOperator:
     """Battery Hamiltonian omega0 * J_z (tensored with the cavity identity)."""
-    return _assemble(params, space, [(("Jz", "1"), params.omega0)], hermitian=True)
+    return _assemble(params, [(("Jz", "1"), params.omega0)])
 
 
-def build_H_static(params: ModelParams, space: str = "full") -> SparseOperator:
+def build_H_static(params: ModelParams) -> SparseOperator:
     """Static part of the charger: cavity + collective coupling + flip-flops.
 
     omega_c a'a + 2g(a'+a)J_x + sum_{i<j} eta_ij (s_i^- s_j^+ + s_j^- s_i^+).
@@ -413,38 +398,12 @@ def build_H_static(params: ModelParams, space: str = "full") -> SparseOperator:
     flip-flop part is sum_d eta_{1,1+d} F_d over the cached distance sums
     F_d of ``_spin_terms``; the three terms have disjoint supports.
     """
-    return _assemble(params, space, _static_terms(params), hermitian=True)
+    return _assemble(params, _static_terms(params))
 
 
-def drive_operator(params: ModelParams, space: str = "full") -> SparseOperator:
+def drive_operator(params: ModelParams) -> SparseOperator:
     """Cavity quadrature a' + a (the drive couples to it)."""
-    return _assemble(params, space, [(("1", "a'+a"), 1.0)], hermitian=True)
-
-
-def drive_commutator(params: ModelParams, space: str = "full") -> SparseOperator:
-    """Commutator [H_b + H_static, a' + a] = omega_c (a' - a).
-
-    Only the cavity energy fails to commute with the drive quadrature, and
-    the truncated number operator is exactly diag(0..N_ph), so the identity
-    holds on the truncated space too.  The result is anti-Hermitian.
-    """
-    return _assemble(params, space, [(("1", "a'-a"), params.omegac)])
-
-
-def nested_commutators(params: ModelParams,
-                       space: str = "full") -> tuple[SparseOperator, SparseOperator]:
-    """[H_b + H_static, C] and [a' + a, C] for C = ``drive_commutator``.
-
-    With P = [a, a'] = diag(1, ..., 1, -N_ph) on the truncated Fock space
-    the two are omega_c^2 (a' + a) + 4 g omega_c J_x P and 2 omega_c P; the
-    cavity energy and the collective coupling are the only parts of H that
-    fail to commute with C.  Both are built from the boson factor and J_x,
-    never from products of joint-space matrices.
-    """
-    with_static = _assemble(params, space, [(("1", "a'+a"), params.omegac**2),
-                                            (("Jx", "P"), 4.0 * params.g * params.omegac)])
-    with_drive = _assemble(params, space, [(("1", "P"), 2.0 * params.omegac)])
-    return with_static, with_drive
+    return _assemble(params, [(("1", "a'+a"), 1.0)])
 
 
 def drive_coefficient(t: float, params: ModelParams) -> float:
@@ -461,19 +420,15 @@ def charger_is_on(t: float, params: ModelParams) -> bool:
 
 def hamiltonian_at(t: float, params: ModelParams) -> SparseOperator:
     """Full system Hamiltonian H_b + window(t) * [H_static + drive(t) (a'+a)]."""
-    h = build_H_battery(params)
+    terms = [(("Jz", "1"), params.omega0)]
     if charger_is_on(t, params):
-        h = h + build_H_static(params)
-        c = drive_coefficient(t, params)
-        if c != 0.0:
-            h = h + c * drive_operator(params)
-    return h
+        terms += [*_static_terms(params), (("1", "a'+a"), drive_coefficient(t, params))]
+    return _assemble(params, terms)
 
 
 def static_hamiltonian(params: ModelParams) -> SparseOperator:
     """Undriven total Hamiltonian H_b + H_static (used by the ground-state solver)."""
-    return _assemble(params, "full", [(("Jz", "1"), params.omega0), *_static_terms(params)],
-                     hermitian=True)
+    return _assemble(params, [(("Jz", "1"), params.omega0), *_static_terms(params)])
 
 
 def initial_state(params: ModelParams) -> StateVector:

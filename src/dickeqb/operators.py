@@ -6,9 +6,10 @@ index is the big-endian bit string over sites 1..N, bit value 1 = excited
 |e>, bit value 0 = ground |g>; site 1 owns the most significant bit.  With
 this ordering the partial trace over the cavity is a contiguous-block sum.
 
-An operator lives in one of SPACES: the ``full`` joint space, or the
-``even`` sector of the states unchanged by the site reflection i -> N+1-i,
-whose basis ``model.reflection_isometry`` defines.  States are always full.
+Operators and states live in the full joint space.  The stepper also
+works in one of SPACES: the ``full`` joint space, or the ``even`` sector of
+the states unchanged by the site reflection i -> N+1-i, whose basis
+``model.reflection_isometry`` defines.
 """
 
 from __future__ import annotations
@@ -91,21 +92,19 @@ def _hermitian_defect(mat) -> float:
 
 
 class SparseOperator:
-    """Complex sparse matrix on one of SPACES, tagged with its dimensions.
+    """Complex sparse matrix on the joint space, tagged with its dimensions.
 
     Treated as immutable after construction; safe to share across workers.
     When ``hermitian=True`` the matrix is verified entrywise at construction.
     """
 
-    __slots__ = ("dims", "mat", "hermitian", "space")
+    __slots__ = ("dims", "mat", "hermitian")
 
-    def __init__(self, dims: HilbertDims, mat, hermitian: bool = False, space: str = "full"):
+    def __init__(self, dims: HilbertDims, mat, hermitian: bool = False):
         mat = sp.csr_matrix(mat, dtype=np.complex128)
-        dim = dims.space_dim(space)
+        dim = dims.total_dim
         if mat.shape != (dim, dim):
-            raise DomainError(
-                f"matrix shape {mat.shape} does not match the {space} dimension {dim}"
-            )
+            raise DomainError(f"matrix shape {mat.shape} does not match total_dim {dim}")
         mat.sum_duplicates()
         mat.sort_indices()
         if hermitian:
@@ -117,7 +116,6 @@ class SparseOperator:
         self.dims = dims
         self.mat = mat
         self.hermitian = hermitian
-        self.space = space
 
     @property
     def nnz(self) -> int:
@@ -128,35 +126,6 @@ class SparseOperator:
 
     def to_dense(self) -> np.ndarray:
         return self.mat.toarray()
-
-    def _combine(self, other: "SparseOperator", sign: float) -> "SparseOperator":
-        if not isinstance(other, SparseOperator):
-            return NotImplemented
-        if (other.dims, other.space) != (self.dims, self.space):
-            raise DomainError("dimension mismatch in operator arithmetic")
-        return SparseOperator(
-            self.dims,
-            self.mat + sign * other.mat,
-            hermitian=self.hermitian and other.hermitian,
-            space=self.space,
-        )
-
-    def __add__(self, other):
-        return self._combine(other, 1.0)
-
-    def __sub__(self, other):
-        return self._combine(other, -1.0)
-
-    def __mul__(self, scalar):
-        scalar = complex(scalar)
-        return SparseOperator(
-            self.dims,
-            self.mat * scalar,
-            hermitian=self.hermitian and scalar.imag == 0.0,
-            space=self.space,
-        )
-
-    __rmul__ = __mul__
 
 
 class StateVector:
@@ -272,7 +241,7 @@ def build_boson(kind: str, dims: HilbertDims) -> SparseOperator:
 
 def expectation(state: StateVector, op: SparseOperator) -> float:
     """<psi| op |psi> for a Hermitian operator; the imaginary residue is checked."""
-    if state.dims != op.dims or op.space != "full":
+    if state.dims != op.dims:
         raise DomainError("state and operator dimensions differ")
     if not op.hermitian:
         raise ContractError("expectation requires an operator tagged Hermitian")

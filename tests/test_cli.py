@@ -391,10 +391,12 @@ class TestConvergence:
 
 
 class TestParser:
-    def test_seed_flag_accepted(self, tmp_path):
+    def test_seed_flag_rejected(self, tmp_path):
+        # the engine is deterministic, so there is no seed to set
         cfg = write_config(tmp_path, **EVOLVE_CFG)
-        assert cli.main(["--seed", "7", "evolve", "--config", cfg,
-                         "--out", str(tmp_path)]) == 0
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--seed", "7", "evolve", "--config", cfg, "--out", str(tmp_path)])
+        assert exc.value.code == 2
 
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as exc:

@@ -35,15 +35,15 @@ from dickeqb.model import (
     build_H_battery,
     build_H_static,
     drive_coefficient,
-    drive_commutator,
     drive_operator,
     hamiltonian_at,
     initial_state,
-    nested_commutators,
+    reflection_isometry,
+    spin_terms,
     static_hamiltonian,
 )
 from dickeqb.observables import charging_power, energy_fluctuation, jz_moments, stored_energy
-from dickeqb.operators import StateVector, expectation
+from dickeqb.operators import StateVector, boson_matrix, expectation
 
 
 class TestPropagationConfig:
@@ -65,18 +65,18 @@ class TestPropagationConfig:
 
 class TestChargingSegments:
     def test_no_window(self):
-        assert _charging_segments(0.0, 1.0, None) == [(0.0, 1.0, True)]
+        assert _charging_segments(0.0, 1.0, ModelParams(N=1)) == [(0.0, 1.0, True)]
 
     def test_switch_off_inside_step(self):
-        segs = _charging_segments(0.9, 1.1, 1.0)
+        segs = _charging_segments(0.9, 1.1, ModelParams(N=1, T=1.0))
         assert segs == [(0.9, 1.0, True), (1.0, 1.1, False)]
 
     def test_switch_on_at_zero(self):
-        segs = _charging_segments(-0.05, 0.05, None)
+        segs = _charging_segments(-0.05, 0.05, ModelParams(N=1))
         assert segs == [(-0.05, 0.0, False), (0.0, 0.05, True)]
 
     def test_fully_after_window(self):
-        assert _charging_segments(3.0, 3.5, 2.0) == [(3.0, 3.5, False)]
+        assert _charging_segments(3.0, 3.5, ModelParams(N=1, T=2.0)) == [(3.0, 3.5, False)]
 
 
 class TestStepMagnus4:
@@ -267,6 +267,23 @@ class TestPropagate:
                                                    r"lower the photon cutoff N_ph or shorten t_max$"):
             rec.record(0.5, stepper.pack([parts[0], 1.001 * parts[1]]))
 
+    def test_drift_inside_the_limit_records(self):
+        # |ggg> x |0> scaled by 1 + 5e-7 drifts inside NORM_DRIFT_LIMIT; its
+        # J_z variance, taken from moments not divided by the population,
+        # read -2.25e-6 and raised
+        batch = [ModelParams(N=2, N_ph=3, n_init=1), ModelParams(N=3, N_ph=1, n_init=0)]
+        stepper = _Stepper(batch, "even")
+        parts = [np.eye(1, p.dims.space_dim("even"), p.initial_photons)[0] for p in batch]
+        amps = stepper.pack(parts)
+        rec = _Recorder(batch, "even", stepper.width, amps)
+        rec.record(0.0, amps)
+        rec.record(0.5, stepper.pack([parts[0], (1.0 + 5e-7) * parts[1]]))
+        energy, _, spread, jz_mean, norm = rec.samples[1][-1]
+        assert norm == pytest.approx(1.0 + 5e-7, abs=1e-15)
+        assert jz_mean == pytest.approx(-1.5 * norm**2, abs=1e-15)
+        assert energy == pytest.approx(1.5 * (1.0 - norm**2), abs=1e-15)
+        assert abs(spread) <= 1e-7
+
     def test_sampling_grid(self):
         p = ModelParams(N=1, g=0.1, N_ph=2, n_init=1)
         cfg = PropagationConfig(t_max=1.0, dt=0.1, sample_stride=3)
@@ -298,7 +315,7 @@ def _full_space_run(batch, cfg):
     stepper = _Stepper(batch)
     amps = stepper.pack([initial_state(p).amplitudes for p in batch])
     times, samples, steps = [0.0], [stepper.unpack(amps)], 0
-    for t1, pieces in _sample_intervals(cfg, batch[0].T):
+    for t1, pieces in _sample_intervals(cfg, batch[0]):
         for a, length, on in pieces:
             amps, n, _ = stepper.advance(amps, a, length, on)
             steps += n
@@ -390,7 +407,7 @@ class TestStepperBuffer:
         traj = propagate(p, cfg)
         amps = initial_state(p).amplitudes
         energies = [stored_energy(jz_moments(StateVector(p.dims, amps)), p)]
-        for _, pieces in _sample_intervals(cfg, p.T):
+        for _, pieces in _sample_intervals(cfg, p):
             for a, length, on in pieces:
                 amps, _, _ = _Stepper(p).advance(amps, a, length, on)
             energies.append(stored_energy(jz_moments(StateVector(p.dims, amps, norm_atol=1e-8)), p))
@@ -560,7 +577,7 @@ class TestBatch:
     def test_steps_without_a_cached_term_table(self, monkeypatch):
         # the stepper applies its operators from the spin terms and builds
         # no term table, so none is held through the stepping
-        model.release_term_tables()
+        model._term_table.cache_clear()
         cached = []
         advance = _Stepper.advance
 
@@ -662,12 +679,25 @@ def _inf_norm(mat):
     return float(abs(mat).sum(axis=1).max()) if mat.nnz else 0.0
 
 
+def _restrict(p, space, mat):
+    """A full-space matrix M as it acts on ``space``: M itself, or P' M P with
+    P = V x I_b in the reflection-even sector."""
+    if space == "full":
+        return mat
+    basis = scipy.sparse.kron(reflection_isometry(p.N), scipy.sparse.identity(p.dims.boson_dim),
+                              format="csr")
+    return (basis.T @ mat @ basis).tocsr()
+
+
 def _assembled(p, space):
-    """H_on, a'+a, C and the two nested commutators of the model builders."""
-    h_on = build_H_battery(p, space).mat + build_H_static(p, space).mat
-    with_static, with_drive = nested_commutators(p, space)
-    return (h_on, drive_operator(p, space).mat, drive_commutator(p, space).mat,
-            with_static.mat, with_drive.mat)
+    """H_on, a'+a, C = [H_on, a'+a] and the nested commutators [H_on, C] and
+    [a'+a, C]: sparse matrix products of the full-space builders, restricted
+    to ``space``."""
+    h_on = build_H_battery(p).mat + build_H_static(p).mat
+    drive = drive_operator(p).mat
+    comm = h_on @ drive - drive @ h_on
+    full = (h_on, drive, comm, h_on @ comm - comm @ h_on, drive @ comm - comm @ drive)
+    return tuple(_restrict(p, space, mat) for mat in full)
 
 
 def _random_state(dim, rng):
@@ -758,25 +788,32 @@ class TestStepperInternals:
     @staticmethod
     def _check_factors(p, space):
         # The stepper's factors, put back together with Kronecker products,
-        # are the builders' operators.
+        # are the operators: exactly H_b = omega0 J_z x I, a'+a and
+        # C = omega_c (a'-a), each the Kronecker product of the space's spin
+        # term or exact spin identity with its cavity factor (P' (I x D) P
+        # rounds V'V = I), and H_on as the restricted builders.
         stepper = _Stepper(p, space)
         boson_dim = p.dims.boson_dim
         spin_dim = p.dims.space_dim(space) // boson_dim
         lower = scipy.sparse.diags(stepper.weights, 1)  # I x a on the joint grid
-        h_b = build_H_battery(p, space).mat
-        drive = drive_operator(p, space).mat
+        eye, eye_s = scipy.sparse.identity(boson_dim), scipy.sparse.identity(spin_dim)
+        a, a_dag = (boson_matrix(kind, boson_dim) for kind in ("annihilate", "create"))
+        h_b = p.omega0 * scipy.sparse.kron(spin_terms(p.N, space).jz, eye, format="csr")
+        drive = scipy.sparse.kron(eye_s, a + a_dag)
+        if space == "full":
+            assert np.array_equal(h_b.toarray(), build_H_battery(p).to_dense())
+            assert np.array_equal(drive.toarray(), drive_operator(p).to_dense())
         # H_b is diagonal and enters the stepper as its diagonal alone, and
         # the Fock weights are the entries of a'+a
         assert h_b.count_nonzero() == np.count_nonzero(h_b.diagonal())
         assert np.array_equal(stepper.diag_off, h_b.diagonal().real)
         assert np.array_equal((lower + lower.T).toarray(), drive.toarray())
         assert np.array_equal((scipy.sparse.diags(stepper.omegac) @ (lower.T - lower)).toarray(),
-                              drive_commutator(p, space).to_dense())
+                              (p.omegac * scipy.sparse.kron(eye_s, a_dag - a)).toarray())
         jx, flips = stepper.spin_stack[:spin_dim], stepper.spin_stack[spin_dim:]
-        eye = scipy.sparse.identity(boson_dim)
         h_on = (scipy.sparse.diags(stepper.diag_on) + scipy.sparse.kron(flips, eye)
                 + scipy.sparse.kron(jx, eye) @ (lower + lower.T))
-        want = (h_b + build_H_static(p, space).mat).toarray()
+        want = _restrict(p, space, build_H_battery(p).mat + build_H_static(p).mat).toarray()
         assert np.abs(h_on.toarray() - want).max() <= 1e-15 * np.abs(want).max()
 
     def test_entries_off_the_positions_raise(self):
@@ -804,7 +841,8 @@ class TestStepperInternals:
         amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         amps /= np.linalg.norm(amps)
         h = 0.37
-        want = scipy.linalg.expm(-1j * h * build_H_battery(p, space).to_dense()) @ amps
+        h_b = _restrict(p, space, build_H_battery(p).mat).toarray()
+        want = scipy.linalg.expm(-1j * h * h_b) @ amps
         assert np.abs(stepper.step(amps, 2.0, h, False) - want).max() <= 1e-14
 
     def test_probe_stands_in_for_the_first_matvec(self):

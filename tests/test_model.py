@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from dickeqb.dynamics import _Stepper
 from dickeqb.errors import DomainError
 from dickeqb.model import (
     COUPLING_CUTOFF,
@@ -13,13 +14,12 @@ from dickeqb.model import (
     charger_is_on,
     dipole_coupling,
     drive_coefficient,
-    drive_commutator,
     drive_operator,
     eta_matrix,
     hamiltonian_at,
     initial_state,
-    nested_commutators,
     reflection_isometry,
+    spin_terms,
     static_hamiltonian,
     _spin_terms,
     _term_table,
@@ -188,8 +188,9 @@ def pair_loop_hamiltonians(params):
 
 
 def pauli_drive_operators(params):
-    """Reference a'+a, C and the nested commutators from ``build_pauli`` and
-    ``build_boson``, on the joint space."""
+    """Reference a'+a, C = omega_c (a'-a) and the nested commutators
+    [H_b + H_static, C] and [a'+a, C], in closed form from ``build_pauli``
+    and ``build_boson``, on the joint space."""
     dims, wc = params.dims, params.omegac
     a = build_boson("annihilate", dims).mat
     a_dag = build_boson("create", dims).mat
@@ -226,9 +227,14 @@ def assert_matches_references(p):
     assert max_deviation(build_H_battery(p), h_b) <= 1e-14
     assert max_deviation(build_H_static(p), h_static) <= 1e-14
     assert max_deviation(static_hamiltonian(p), h_b + h_static) <= 1e-14
-    built = (drive_operator(p), drive_commutator(p), *nested_commutators(p))
-    for op, ref in zip(built, pauli_drive_operators(p)):
-        assert max_deviation(op, ref) <= 1e-14
+    drive, *commutators = pauli_drive_operators(p)
+    assert max_deviation(drive_operator(p), drive) <= 1e-14
+    # the stepper applies C and the nested commutators from their factors
+    rng = np.random.default_rng(p.N)
+    v = rng.normal(size=p.dims.total_dim) + 1j * rng.normal(size=p.dims.total_dim)
+    for got, ref in zip(_Stepper(p)._probe(v)[1:], (drive, *commutators)):
+        want = ref @ v
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def kron_spin_terms(n):
@@ -293,35 +299,32 @@ class TestAgainstPairLoop:
 
 
 class TestTermTable:
-    @pytest.mark.parametrize("space", ["full", "even"])
-    def test_table_is_read_only(self, space):
-        table = _term_table(3, 2, space)
+    def test_table_is_read_only(self):
+        table = _term_table(3, 2)
         spin, boson, positions = table.terms[("Jx", "a'+a")]
         for arr in (table.indptr, table.indices, positions, spin.data, boson.data):
             with pytest.raises(ValueError):
                 arr[0] = 1
 
-    @pytest.mark.parametrize("space", ["full", "even"])
-    def test_operators_share_no_array_with_the_table(self, space):
+    def test_operators_share_no_array_with_the_table(self):
         p = ModelParams(N=3, g=0.6, eta=-0.4, N_ph=2, n_init=0)
-        table = _term_table(p.N, p.photon_cutoff, space)
-        mat = build_H_static(p, space).mat
+        table = _term_table(p.N, p.photon_cutoff)
+        mat = build_H_static(p).mat
         cached = [table.indptr, table.indices,
                   *(a for spin, boson, positions in table.terms.values()
                     for a in (spin.data, boson.data, positions))]
         for arr in (mat.data, mat.indices, mat.indptr):
             assert not any(np.shares_memory(arr, c) for c in cached)
 
-    @pytest.mark.parametrize("space", ["full", "even"])
-    def test_in_place_edits_leave_the_next_assembly_unchanged(self, space):
+    def test_in_place_edits_leave_the_next_assembly_unchanged(self):
         # one shared pattern edited in place would corrupt every later build
         p = ModelParams(N=4, g=0.5, eta=0.3, N_ph=3, n_init=0)
-        want = build_H_static(p, space).mat.copy()
-        edited = build_H_static(p, space).mat
+        want = build_H_static(p).mat.copy()
+        edited = build_H_static(p).mat
         edited.data *= 2
         edited.data[::3] = 0.0
         edited.eliminate_zeros()
-        got = build_H_static(p, space).mat
+        got = build_H_static(p).mat
         assert np.array_equal(got.indptr, want.indptr)
         assert np.array_equal(got.indices, want.indices)
         assert np.array_equal(got.data, want.data)
@@ -338,12 +341,11 @@ class TestSiteReflection:
     @pytest.mark.parametrize("n_atoms", range(1, 8))
     @pytest.mark.parametrize("mode", REFERENCE_CASES, ids=["direct", "geometric"])
     def test_stepper_operators_commute(self, n_atoms, mode):
-        # every operator the magnus4 stepper assembles in the even sector
+        # the even sector is invariant under every operator the magnus4
+        # stepper applies: H_b, H_static, a'+a and so their commutators
         p = ModelParams(N=n_atoms, g=0.4, omega0=1.3, omegac=0.9, N_ph=3, n_init=0, **mode)
         r = sp.kron(site_reflection(n_atoms), sp.identity(p.dims.boson_dim), format="csr")
-        operators = (build_H_battery(p), build_H_static(p), drive_operator(p),
-                     drive_commutator(p), *nested_commutators(p))
-        for op in operators:
+        for op in (build_H_battery(p), build_H_static(p), drive_operator(p)):
             defect = r @ op.mat - op.mat @ r
             assert (abs(defect).max() if defect.nnz else 0.0) <= 1e-14
 
@@ -351,19 +353,31 @@ class TestSiteReflection:
     @pytest.mark.parametrize("mode", REFERENCE_CASES, ids=["direct", "geometric"])
     @pytest.mark.parametrize("case", REFERENCE_INSTANCES)
     def test_sector_operators_are_projections(self, n_atoms, mode, case):
-        # built in the sector from V' S V, equal to P' M P with P = V x I_b
+        # the sector spin terms are exactly V' S V of the Kronecker-sum
+        # references, so the operators formed from them equal P' M P with
+        # P = V x I_b
         p = reference_params(n_atoms, mode, case)
-        basis = sp.kron(reflection_isometry(n_atoms), sp.identity(p.dims.boson_dim), format="csr")
-        dim = p.dims.space_dim("even")
-        assert basis.shape == (p.dims.total_dim, dim)
-        builders = (build_H_battery, build_H_static, drive_operator, drive_commutator,
-                    lambda q, space="full": nested_commutators(q, space)[0],
-                    lambda q, space="full": nested_commutators(q, space)[1])
-        for build in builders:
-            sector, full = build(p, "even"), build(p)
-            assert sector.space == "even" and sector.mat.shape == (dim, dim)
-            assert sector.hermitian == full.hermitian
-            assert max_deviation(sector, basis.T @ full.mat @ basis) <= 1e-14
+        v = reflection_isometry(n_atoms)
+        even = spin_terms(n_atoms, "even")
+        terms = (even.jz, even.jx, *even.flip_flops)
+        refs = kron_spin_terms(n_atoms)
+        assert len(terms) == len(refs)
+        for term, ref in zip(terms, refs):
+            want = sp.csr_matrix(v.T @ ref @ v)
+            want.sum_duplicates()
+            for name in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(term, name), getattr(want, name)), name
+        eye_s, eye_b = sp.identity(v.shape[1]), sp.identity(p.dims.boson_dim)
+        a = sp.diags(np.sqrt(np.arange(1.0, p.dims.boson_dim)), 1)
+        flips = sum((dipole_coupling(1, 1 + d, p) * f_d
+                     for d, f_d in enumerate(even.flip_flops, start=1)), sp.csr_matrix(eye_s.shape))
+        sector = (p.omega0 * sp.kron(even.jz, eye_b),
+                  p.omegac * sp.kron(eye_s, a.T @ a) + 2.0 * p.g * sp.kron(even.jx, a + a.T)
+                  + sp.kron(flips, eye_b),
+                  sp.kron(eye_s, a + a.T))
+        basis = sp.kron(v, eye_b, format="csr")
+        for mat, build in zip(sector, (build_H_battery, build_H_static, drive_operator)):
+            assert abs(mat - basis.T @ build(p).mat @ basis).max() <= 1e-14
 
     @pytest.mark.parametrize("n_atoms", range(1, 8))
     def test_isometry_onto_even_sector(self, n_atoms):
@@ -409,10 +423,12 @@ class TestDrive:
         ],
     )
     def test_commutator_matches_numerical(self, kwargs):
+        # the closed form C = omega_c (a'-a) the stepper applies
         p = ModelParams(**kwargs)
         h_on = static_hamiltonian(p).to_dense()
         d = drive_operator(p).to_dense()
-        assert np.abs(drive_commutator(p).to_dense() - (h_on @ d - d @ h_on)).max() < 1e-12
+        c = pauli_drive_operators(p)[1].toarray()
+        assert np.abs(c - (h_on @ d - d @ h_on)).max() < 1e-12
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -428,10 +444,9 @@ class TestDrive:
         p = ModelParams(**kwargs)
         h_on = static_hamiltonian(p).to_dense()
         d = drive_operator(p).to_dense()
-        c = drive_commutator(p).to_dense()
-        with_static, with_drive = nested_commutators(p)
-        assert np.abs(with_static.to_dense() - (h_on @ c - c @ h_on)).max() < 1e-12
-        assert np.abs(with_drive.to_dense() - (d @ c - c @ d)).max() < 1e-12
+        c, with_static, with_drive = (mat.toarray() for mat in pauli_drive_operators(p)[1:])
+        assert np.abs(with_static - (h_on @ c - c @ h_on)).max() < 1e-12
+        assert np.abs(with_drive - (d @ c - c @ d)).max() < 1e-12
 
 
 class TestSwitchedHamiltonian:
@@ -454,6 +469,10 @@ class TestSwitchedHamiltonian:
         p = ModelParams(N=2, g=0.6, eta=-0.4, Omega=0.8, N_ph=3)
         h = hamiltonian_at(t, p)
         assert h.hermitian  # construction verifies entrywise to 1e-12
+        # the drive sits where H_b + H_static has no entry
+        drive = drive_coefficient(t, p) * drive_operator(p).to_dense()
+        want = static_hamiltonian(p).to_dense() + drive
+        assert np.array_equal(h.to_dense(), want)
 
     def test_time_independent_without_drive(self):
         p = ModelParams(N=2, g=0.6, eta=0.4, Omega=0.0, N_ph=3)

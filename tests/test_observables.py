@@ -187,7 +187,8 @@ class TestGroundState:
         p = ModelParams(N=2, g=0.5, eta=0.3, N_ph=N_ph)
         h = static_hamiltonian(p)
         if imag:
-            h = h + imag * build_pauli(1, "y", p.dims)
+            h = SparseOperator(p.dims, h.mat + imag * build_pauli(1, "y", p.dims).mat,
+                               hermitian=True)
         assert h.mat.data.imag.any() == bool(imag)
         assert (p.dims.total_dim > DENSE_SOLVER_DIM) == (N_ph == 10)
         res = ground_state(h)

@@ -243,17 +243,6 @@ class TestPartialTrace:
 
 
 class TestContainers:
-    def test_sector_operator_stays_in_its_space(self):
-        dims = HilbertDims(2, 1)  # even sector: 3 spin states x 2 photon levels
-        even = SparseOperator(dims, np.eye(6), hermitian=True, space="even")
-        assert (2.0 * even).space == (even + even).space == "even"
-        with pytest.raises(DomainError):
-            SparseOperator(dims, np.eye(8), space="even")
-        with pytest.raises(DomainError):
-            even + SparseOperator(dims, np.eye(8), hermitian=True)
-        with pytest.raises(DomainError):
-            expectation(basis_state(dims, 0, 0), even)
-
     def test_hermitian_flag_verified(self):
         dims = HilbertDims(1, 0)
         bad = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -294,6 +283,10 @@ class TestContainers:
         dims = HilbertDims(1, 0)
         with pytest.raises(ContractError):
             StateVector(dims, np.array([1.0, 1.0]))
+
+    def test_operator_shape_checked(self):
+        with pytest.raises(DomainError, match="does not match total_dim 6"):
+            SparseOperator(HilbertDims(1, 2), np.eye(8))
 
     def test_state_length_checked(self):
         with pytest.raises(DomainError):
