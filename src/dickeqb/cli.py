@@ -25,7 +25,7 @@ from itertools import product
 from pathlib import Path
 
 from dickeqb import analysis, observables
-from dickeqb.dynamics import PropagationConfig, propagate
+from dickeqb.dynamics import PropagationConfig, _check_dim, propagate
 from dickeqb.errors import (
     ConfigError,
     DomainError,
@@ -104,7 +104,7 @@ def _require_scalar(cfg: dict, key: str):
 
 
 INT_KEYS = ("N", "N_ph", "n_init", "sample_stride", "max_dim", "grid_cap", "delta_ph")
-TEXT_KEYS = ("coupling_mode", "method")
+TEXT_KEYS = ("coupling_mode",)
 NULLABLE_KEYS = ("N_ph", "n_init", "T")  # fields that take None
 
 
@@ -387,9 +387,7 @@ def cmd_phase_diagram(args) -> int:
     ]
     # The dimension bound evolve, sweep and convergence apply, at its
     # default, checked before any Hamiltonian is assembled.
-    dim, cap = tasks[0].dims.total_dim, PropagationConfig.max_dim
-    if dim > cap:
-        raise ResourceError(f"total dimension {dim} exceeds the bound {cap}")
+    _check_dim(tasks[0], PropagationConfig.max_dim)
     results = _run_pool(_phase_point, tasks, args.jobs)
     warnings = 0
     rows = []

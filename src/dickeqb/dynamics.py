@@ -25,7 +25,7 @@ scaled Taylor apply of Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011) 488,
 over a matvec.  The kernel takes the step's scalar -i h apart from the
 operator and multiplies it into the factor it applies to every Taylor term.
 No operator is assembled: every term of the exponent is a spin factor of
-``model.spin_terms`` x a cavity factor, and the stepper's matvec applies
+the space's spin terms x a cavity factor, and the stepper's matvec applies
 them on the state viewed as a (spin, Fock) array, with one sparse product
 of the real spin factors and elementwise Fock-level moves (see
 ``_Stepper``).  With the charger off only the diagonal H_b acts, and a
@@ -36,15 +36,16 @@ step is its exact phase.
 site reflection i -> N+1-i (the dipole couplings depend on |i-j| alone), so
 the state never leaves the span of P = V x I_b, V the spin isometry of
 ``model.reflection_isometry``.  The stepper applies its operators there
-from the sector spin terms V' S V, so they equal P' M P; no full-space
-operator or state is stepped.  That is about half the dimension of the
-full space at N >= 5, with the same step plan.  The observables are J_z
-moments, which the sector gives exactly: J_z has the same value on both
-states of a mirror pair, so V' J_z^k V is the sector's diagonal J_z to the
-k-th power.  Each sample is therefore recorded in the sector, from |x|^2
-and the sector's J_z diagonal (see ``_Recorder``), and only the final
-state is lifted to the full joint basis.  ``step_magnus4`` acts on the
-full space, with the full spin terms, so it stays exact on any state.
+from the sector spin terms V' S V of ``model.even_spin_terms``, so they
+equal P' M P; no full-space operator or state is stepped.  That is about
+half the dimension of the full space at N >= 5, with the same step plan.
+The observables are J_z moments, which the sector gives exactly: J_z has
+the same value on both states of a mirror pair, so V' J_z^k V is the
+sector's diagonal J_z to the k-th power.  Each sample is therefore
+recorded in the sector, from |x|^2 and the sector's J_z diagonal (see
+``_Recorder``), and only the final state is lifted to the full joint
+basis.  ``step_magnus4`` acts on the full space, with
+``model.full_spin_terms``, so it stays exact on any state.
 
 ``propagate`` also takes a batch: parameter sets that share the time
 dependence (Omega, omegad and T), such as the N = 1..6 points of a sweep
@@ -95,8 +96,9 @@ from dickeqb.model import (
     dipole_coupling,
     drive_coefficient,
     drive_operator,
+    even_spin_terms,
+    full_spin_terms,
     initial_state,
-    spin_terms,
 )
 from dickeqb.operators import StateVector
 
@@ -121,34 +123,32 @@ NORM_DRIFT_LIMIT = 1e-6
 
 ORACLE_TOL = 1e-12  # rtol and atol of the DOP853 reference
 
-METHODS = ("magnus4", "oracle_expm")
-
 
 @dataclass(frozen=True)
 class PropagationConfig:
-    """Grid and method knobs for one propagation run (times in 1/omega0).
+    """Sample grid and dimension bound of one run (times in 1/omega0).
 
     ``dt * sample_stride`` is the sample spacing: observables are recorded
     at every sample_stride-th point of the dt grid and at t_max.  Neither
-    method steps at dt: the magnus4 step comes from the error bound
-    MAGNUS_TOL, the oracle's from DOP853's own control at ORACLE_TOL.
+    ``propagate`` nor ``oracle_propagate`` steps at dt: the magnus4 step
+    comes from the error bound MAGNUS_TOL, the oracle's from DOP853's own
+    control at ORACLE_TOL.
     """
 
     t_max: float = 20.0
     dt: float = 1e-3
     sample_stride: int = 10
-    method: str = "magnus4"
     max_dim: int = 200_000
 
     def __post_init__(self):
+        if not (math.isfinite(self.dt) and math.isfinite(self.t_max)):
+            raise DomainError(f"dt and t_max must be finite, got dt={self.dt} t_max={self.t_max}")
         if self.dt <= 0:
             raise DomainError(f"dt must be positive, got {self.dt}")
         if self.t_max < self.dt:
             raise DomainError(f"t_max must be >= dt, got t_max={self.t_max} dt={self.dt}")
         if self.sample_stride < 1:
             raise DomainError(f"sample_stride must be >= 1, got {self.sample_stride}")
-        if self.method not in METHODS:
-            raise DomainError(f"method must be one of {METHODS}, got {self.method!r}")
         if self.max_dim < 1:
             raise DomainError("max_dim must be positive")
 
@@ -366,12 +366,12 @@ class _Stepper:
     full space and in the sector, so a step with the charger off multiplies
     by the exact phases exp(-i h diag(H_b)) and never calls the kernel.
 
-    ``space`` says which spin terms the blocks use: the full joint space,
-    or the reflection-even sector, whose coordinates the stepper then acts
-    on.  The sector is exact for states in it, which no operator leaves.
+    ``space`` builds the blocks' spin terms: ``full_spin_terms``, or
+    ``even_spin_terms`` for the reflection-even sector, exact for the
+    states in it, which no operator leaves.
     """
 
-    def __init__(self, params, space: str = "full"):
+    def __init__(self, params, space=full_spin_terms):
         self.params = params
         batch = _batch(params)
         # The blocks share the time dependence, so the first one's drive
@@ -379,7 +379,7 @@ class _Stepper:
         self.clock = batch[0]
         self.boson_dims = tuple(p.dims.boson_dim for p in batch)
         self.width = max(self.boson_dims)
-        parts = [_block_factors(p, spin_terms(p.N, space), self.width) for p in batch]
+        parts = [_block_factors(p, space(p.N), self.width) for p in batch]
         heights = [part.diag_on.shape[0] for part in parts]
         self.height = sum(heights)
         edges = self.width * np.cumsum([0] + heights)
@@ -623,26 +623,26 @@ class _Recorder:
     """Accumulates the sampled observable series of a batch's runs from the
     J_z moments of each sample.
 
-    A sample has the stepper's layout in ``space``: block k is an
-    (S_k, ``width``) grid of spin rows x Fock levels, the blocks stacked in
-    batch order, and the levels above a block's own N_ph are zero; a joint
-    state in the full space is a batch of one with width N_ph + 1.  One
-    product of ``moment_rows`` with |x|^2, viewed as a real (spin, 2 width)
-    grid, sums |x|^2, J_z |x|^2 and J_z^2 |x|^2 over each block's spin rows,
-    per Fock level; ``fock_columns`` then sums those over every level, and
-    picks the top level |N_ph> for the edge population.  That is exact in
-    the reflection-even sector too: J_z is diagonal there, with the value it
-    has on both states of a mirror pair.  dE_b's variances come from the
-    moments divided by the block's population, so a norm drift inside
-    NORM_DRIFT_LIMIT does not drive the variance of a near-eigenstate of J_z
-    below VARIANCE_FLOOR; E_b and Jz_mean take the moments as they are.  The
-    moments of the initial state ``amps0``, which dE_b is measured from, are
-    taken once.
+    A sample has the stepper's layout in the space ``space`` builds: block
+    k is an (S_k, ``width``) grid of spin rows x Fock levels, the blocks
+    stacked in batch order, and the levels above a block's own N_ph are
+    zero; a joint state in the full space is a batch of one with width
+    N_ph + 1.  One product of ``moment_rows`` with |x|^2, viewed as a real
+    (spin, 2 width) grid, sums |x|^2, J_z |x|^2 and J_z^2 |x|^2 over each
+    block's spin rows, per Fock level; ``fock_columns`` then sums those over
+    every level, and picks the top level |N_ph> for the edge population.
+    That is exact in the reflection-even sector too: J_z is diagonal there,
+    with the value it has on both states of a mirror pair.  dE_b's
+    variances come from the moments divided by the block's population, so a
+    norm drift inside NORM_DRIFT_LIMIT does not drive the variance of a
+    near-eigenstate of J_z below VARIANCE_FLOOR; E_b and Jz_mean take the
+    moments as they are.  The moments of the initial state ``amps0``, which
+    dE_b is measured from, are taken once.
     """
 
-    def __init__(self, batch, space: str, width: int, amps0: np.ndarray):
+    def __init__(self, batch, space, width: int, amps0: np.ndarray):
         self.batch = batch
-        self.spins = [spin_terms(p.N, space) for p in batch]
+        self.spins = [space(p.N) for p in batch]
         jzs = [_diagonal(spin.jz) for spin in self.spins]
         self.height = sum(len(jz) for jz in jzs)
         # Row q * count + k sums block k's q-th moment: its population, <J_z>,
@@ -728,7 +728,7 @@ def propagate(params, cfg: PropagationConfig | None = None):
     of them that shares Omega, omegad and T (else ContractError), which gives
     one Trajectory per entry, in order.  Records at every
     ``sample_stride``-th point of the dt grid plus the initial and final
-    times.  The magnus4 path steps from sample to sample, each interval in
+    times.  The run steps from sample to sample, each interval in
     the fewest equal steps that meet MAGNUS_TOL, in the reflection-even
     sector: the initial state and the Hamiltonian are unchanged by the site
     reflection, so the state stays there.  A batch steps as one
@@ -738,12 +738,7 @@ def propagate(params, cfg: PropagationConfig | None = None):
     ResourceError when an entry's dimension exceeds ``max_dim`` and
     IntegrationError when an entry's norm drifts beyond 1e-6.
     """
-    cfg = cfg or PropagationConfig()
-    batch = _batch(params)
-    if cfg.method == "oracle_expm":
-        trajectories = [oracle_propagate(p, cfg) for p in batch]
-    else:
-        trajectories = _magnus4_batch(batch, cfg)
+    trajectories = _magnus4_batch(_batch(params), cfg or PropagationConfig())
     return trajectories[0] if isinstance(params, ModelParams) else trajectories
 
 
@@ -751,16 +746,13 @@ def _magnus4_batch(batch, cfg: PropagationConfig) -> list:
     """magnus4 trajectories of a batch, stepped as one block-diagonal system."""
     for p in batch:
         _check_dim(p, cfg.max_dim)
-    stepper = _Stepper(batch, "even")
+    stepper = _Stepper(batch, even_spin_terms)
     # |g...g> is spin state 0 of the sector (column 0 of reflection_isometry),
     # so each block starts as the unit vector at (0, n_init).
-    starts = []
-    for p in batch:
-        start = np.zeros(p.dims.space_dim("even"), dtype=np.complex128)
-        start[p.initial_photons] = 1.0
-        starts.append(start)
-    amps = stepper.pack(starts)
-    recorder = _Recorder(batch, "even", stepper.width, amps)
+    amps = np.zeros(stepper.blocks[-1].stop, dtype=np.complex128)
+    for block, p in zip(stepper.blocks, batch):
+        amps[block.start + p.initial_photons] = 1.0
+    recorder = _Recorder(batch, even_spin_terms, stepper.width, amps)
     recorder.record(0.0, amps)
     steps, step_errors = 0, np.zeros(len(batch))
     for t1, pieces in _sample_intervals(cfg, batch[0]):
@@ -798,7 +790,7 @@ def oracle_propagate(params: ModelParams, cfg: PropagationConfig | None = None) 
         return -1j * (h_off @ y)
 
     amps = initial_state(params).amplitudes
-    recorder = _Recorder((params,), "full", params.dims.boson_dim, amps)
+    recorder = _Recorder((params,), full_spin_terms, params.dims.boson_dim, amps)
     recorder.record(0.0, amps)
     for t1, pieces in _sample_intervals(cfg, params):
         for a, length, on in pieces:

@@ -9,7 +9,7 @@ of the atomic splitting omega0 (hbar = 1).
 Every operator below is assembled in the full joint space, the same way.
 A read-only term table, cached per (N, N_ph), holds each term spin factor
 x boson factor of TERMS: the spin factors J_z, J_x and the flip-flop
-distance sums F_d of ``_spin_terms`` and the identity; the boson factors
+distance sums F_d of ``full_spin_terms`` and the identity; the boson factors
 I, a'a and a'+a.  The spin factors are written from the bits of the spin
 index, with no site-operator Kronecker chain: popcounts on the diagonal of
 J_z, single-bit flips for J_x, and two-bit flips of unequal pair bits for
@@ -18,15 +18,16 @@ row-major linear positions (a term's positions are an outer sum of its
 factors'), so one parameter set's operator is a coefficient combination
 of term data; its nonzeros become a new matrix, which the Hermitian check
 of SparseOperator then verifies.  Repeated assemblies at one (N, N_ph),
-such as a phase diagram's points, build no Kronecker product.  The
-reflection-even sector has spin terms (``spin_terms``), which the stepper
-applies, but no assembled operator.
+such as a phase diagram's points, build no Kronecker product.  A spin
+space is the cached builder N -> SpinTerms of its spin factors:
+``full_spin_terms``, or ``even_spin_terms`` for the reflection-even
+sector, which has no assembled operator.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -82,6 +83,10 @@ class ModelParams:
     c_light: float = 1.0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise DomainError(f"{f.name} must be finite, got {value}")
         if self.N < 1:
             raise DomainError(f"N must be >= 1, got {self.N}")
         if self.omega0 <= 0 or self.omegac <= 0:
@@ -195,7 +200,7 @@ def _spin_matrix(dim: int, rows: np.ndarray, cols: np.ndarray, data) -> sp.csr_m
 
 
 @lru_cache(maxsize=16)
-def _spin_terms(n_atoms: int) -> SpinTerms:
+def full_spin_terms(n_atoms: int) -> SpinTerms:
     """Spin-space J_z, J_x and flip-flop sums, built once per atom count
     from the bits of the spin index.
 
@@ -262,8 +267,8 @@ def reflection_isometry(n_atoms: int) -> sp.csr_matrix:
 
 
 @lru_cache(maxsize=16)
-def _even_spin_terms(n_atoms: int) -> SpinTerms:
-    """V' S V for every matrix S of ``_spin_terms``, V = ``reflection_isometry``:
+def even_spin_terms(n_atoms: int) -> SpinTerms:
+    """V' S V for every matrix S of ``full_spin_terms``, V = ``reflection_isometry``:
     the spin terms on the reflection-even sector, read-only like them, with
     V as the isometry.
 
@@ -271,7 +276,7 @@ def _even_spin_terms(n_atoms: int) -> SpinTerms:
     depend on |i-j| alone).
     """
     v = reflection_isometry(n_atoms)
-    full = _spin_terms(n_atoms)
+    full = full_spin_terms(n_atoms)
 
     def restrict(mat):
         return _frozen(v.T @ mat @ v)
@@ -282,16 +287,6 @@ def _even_spin_terms(n_atoms: int) -> SpinTerms:
         flip_flops=tuple(restrict(f_d) for f_d in full.flip_flops),
         isometry=v,
     )
-
-
-def spin_terms(n_atoms: int, space: str) -> SpinTerms:
-    """The cached, read-only spin terms of ``space``: ``_spin_terms`` in the
-    full space, ``_even_spin_terms`` in the reflection-even sector."""
-    if space == "full":
-        return _spin_terms(n_atoms)
-    if space == "even":
-        return _even_spin_terms(n_atoms)
-    raise DomainError(f"space must be one of {ops.SPACES}, got {space!r}")
 
 
 def _boson_factors(boson_dim: int) -> dict:
@@ -325,11 +320,11 @@ def _term_table(n_atoms: int, n_photon_max: int) -> _TermTable:
     """The term table of one (N, N_ph), built once.
 
     A term is kron(spin factor, boson factor), with the spin factors of
-    ``_spin_terms``.  Only the positions are stored per entry; the values
+    ``full_spin_terms``.  Only the positions are stored per entry; the values
     are the factors' products.  Every caller shares the table, so its
     arrays are read-only.
     """
-    spin = _spin_terms(n_atoms)
+    spin = full_spin_terms(n_atoms)
     spin_factors = {"1": _frozen(sp.identity(spin.jz.shape[0])), "Jz": spin.jz, "Jx": spin.jx}
     spin_factors.update((f"F{d}", f_d) for d, f_d in enumerate(spin.flip_flops, start=1))
     boson_dim = n_photon_max + 1
@@ -396,7 +391,7 @@ def build_H_static(params: ModelParams) -> SparseOperator:
     omega_c a'a + 2g(a'+a)J_x + sum_{i<j} eta_ij (s_i^- s_j^+ + s_j^- s_i^+).
     Each unordered atom pair contributes once, so <eg|H|ge> = eta_12.  The
     flip-flop part is sum_d eta_{1,1+d} F_d over the cached distance sums
-    F_d of ``_spin_terms``; the three terms have disjoint supports.
+    F_d of ``full_spin_terms``; the three terms have disjoint supports.
     """
     return _assemble(params, _static_terms(params))
 

@@ -23,7 +23,7 @@ import numpy as np
 import scipy.linalg
 
 from dickeqb.errors import ContractError, NumericalError
-from dickeqb.model import spin_terms
+from dickeqb.model import full_spin_terms
 from dickeqb.operators import SparseOperator, StateVector
 
 VARIANCE_FLOOR = -1e-10
@@ -44,16 +44,9 @@ class JzMoments(NamedTuple):
     square: float
 
 
-def _jz_diagonal(n_atoms: int, space: str) -> np.ndarray:
-    """Diagonal of J_z over the spin states of ``space``: that of the
-    model's spin terms, popcount - N/2 (of the representative in the even
-    sector)."""
-    return spin_terms(n_atoms, space).jz.diagonal()
-
-
 def jz_moments(state: StateVector) -> JzMoments:
     """<J_z> and <J_z^2> on the joint state."""
-    diag = np.repeat(_jz_diagonal(state.dims.n_atoms, "full"), state.dims.boson_dim)
+    diag = np.repeat(full_spin_terms(state.dims.n_atoms).jz.diagonal(), state.dims.boson_dim)
     prob = np.abs(state.amplitudes) ** 2
     return JzMoments(float(diag @ prob), float((diag * diag) @ prob))
 

@@ -5,11 +5,7 @@ the joint index is ``spin_index * boson_dim + photon_number``.  The spin
 index is the big-endian bit string over sites 1..N, bit value 1 = excited
 |e>, bit value 0 = ground |g>; site 1 owns the most significant bit.  With
 this ordering the partial trace over the cavity is a contiguous-block sum.
-
-Operators and states live in the full joint space.  The stepper also
-works in one of SPACES: the ``full`` joint space, or the ``even`` sector of
-the states unchanged by the site reflection i -> N+1-i, whose basis
-``model.reflection_isometry`` defines.
+Operators and states live in the full joint space.
 """
 
 from __future__ import annotations
@@ -24,8 +20,6 @@ from dickeqb.errors import ContractError, DomainError, NumericalError
 HERMITIAN_ATOL = 1e-12
 NORM_ATOL = 1e-10
 IMAG_RESIDUE_LIMIT = 1e-8
-
-SPACES = ("full", "even")
 
 # Single-site matrices in the (|g>, |e>) basis.  sigma_z is diag(-1, +1) so
 # that the all-ground register has J_z = -N/2.
@@ -62,18 +56,6 @@ class HilbertDims:
     @property
     def total_dim(self) -> int:
         return self.spin_dim * self.boson_dim
-
-    def space_dim(self, space: str) -> int:
-        """Dimension of the full joint space or of its reflection-even sector.
-
-        The even sector's spin part holds one state per palindrome and per
-        mirror pair of spin indices: (2^N + 2^ceil(N/2)) / 2 of them.
-        """
-        if space == "full":
-            return self.total_dim
-        if space == "even":
-            return (self.spin_dim + 2 ** ((self.n_atoms + 1) // 2)) // 2 * self.boson_dim
-        raise DomainError(f"space must be one of {SPACES}, got {space!r}")
 
 
 def _hermitian_defect(mat) -> float:

@@ -65,6 +65,13 @@ class TestEvolve:
         assert cli.main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "unknown key" in capsys.readouterr().err
 
+    def test_method_key_is_unknown(self, tmp_path, capsys):
+        # propagation has one integrator, so no key selects it
+        cfg = write_config(tmp_path, **{**EVOLVE_CFG, "method": "oracle_expm"})
+        assert cli.main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: unknown key(s) for evolve: method ")
+        assert not (tmp_path / "trajectory.csv").exists()
+
     def test_missing_config_file(self, tmp_path):
         missing = str(tmp_path / "nope.json")
         assert cli.main(["evolve", "--config", missing, "--out", str(tmp_path)]) == 2
@@ -420,8 +427,8 @@ class TestParser:
         code = ("import sys, dickeqb.cli; from dickeqb import model; "
                 "print('scipy.integrate' in sys.modules, 'scipy.sparse.linalg' in sys.modules, "
                 "model._term_table.cache_info().currsize, "
-                "model._spin_terms.cache_info().currsize, "
-                "model._even_spin_terms.cache_info().currsize)")
+                "model.full_spin_terms.cache_info().currsize, "
+                "model.even_spin_terms.cache_info().currsize)")
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True).stdout
         assert out.split() == ["False", "False", "0", "0", "0"]

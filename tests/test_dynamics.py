@@ -38,12 +38,22 @@ from dickeqb.model import (
     drive_operator,
     hamiltonian_at,
     initial_state,
-    reflection_isometry,
-    spin_terms,
+    even_spin_terms,
+    full_spin_terms,
     static_hamiltonian,
 )
 from dickeqb.observables import charging_power, energy_fluctuation, jz_moments, stored_energy
 from dickeqb.operators import StateVector, boson_matrix, expectation
+
+# Every test that takes a spin space runs in both: the full space and the
+# reflection-even sector.
+BY_SPACE = pytest.mark.parametrize("space", [full_spin_terms, even_spin_terms],
+                                   ids=["full", "even"])
+
+
+def _space_dim(p, space):
+    """The joint dimension of ``space`` at p: its spin dimension x (N_ph + 1)."""
+    return space(p.N).jz.shape[0] * p.dims.boson_dim
 
 
 class TestPropagationConfig:
@@ -54,8 +64,10 @@ class TestPropagationConfig:
             dict(dt=-1e-3),
             dict(t_max=1e-4, dt=1e-3),
             dict(sample_stride=0),
-            dict(method="rk4"),
             dict(max_dim=0),
+            dict(dt=float("nan")),
+            dict(t_max=float("nan")),
+            dict(t_max=float("inf")),
         ],
     )
     def test_invalid(self, kwargs):
@@ -176,13 +188,6 @@ class TestPropagate:
         overlap = np.vdot(t_m.final_state.amplitudes, t_o.final_state.amplitudes)
         assert 1.0 - abs(overlap) ** 2 < 1e-10
 
-    def test_oracle_dispatch_through_config(self):
-        p = ModelParams(N=1, g=0.3, N_ph=2, n_init=1)
-        cfg = PropagationConfig(t_max=0.5, dt=1e-2, sample_stride=10, method="oracle_expm")
-        t_a = propagate(p, cfg)
-        t_b = oracle_propagate(p, cfg)
-        assert np.array_equal(t_a.E_b, t_b.E_b)
-
     def test_oracle_decoupled_state_is_phase_rotation(self):
         # g = Omega = eta = 0: the initial basis state only picks up a phase
         p = ModelParams(N=2, g=0.0, Omega=0.0, eta=0.0, N_ph=3, n_init=2)
@@ -249,7 +254,7 @@ class TestPropagate:
     def test_norm_drift_guard(self):
         p = ModelParams(N=1, N_ph=1, n_init=0)
         amps = initial_state(p).amplitudes
-        rec = _Recorder((p,), "full", p.dims.boson_dim, amps)
+        rec = _Recorder((p,), full_spin_terms, p.dims.boson_dim, amps)
         bad = amps * 1.001
         with pytest.raises(IntegrationError,
                            match=r"^norm drift .* lower the photon cutoff N_ph or shorten t_max$"):
@@ -258,10 +263,10 @@ class TestPropagate:
     def test_norm_drift_guard_is_per_block(self):
         # Only the padded second block drifts.
         batch = [ModelParams(N=2, N_ph=3, n_init=1), ModelParams(N=3, N_ph=1, n_init=0)]
-        stepper = _Stepper(batch, "even")
-        parts = [np.eye(1, p.dims.space_dim("even"), p.initial_photons)[0] for p in batch]
+        stepper = _Stepper(batch, even_spin_terms)
+        parts = [np.eye(1, _space_dim(p, even_spin_terms), p.initial_photons)[0] for p in batch]
         amps = stepper.pack(parts)
-        rec = _Recorder(batch, "even", stepper.width, amps)
+        rec = _Recorder(batch, even_spin_terms, stepper.width, amps)
         rec.record(0.0, amps)
         with pytest.raises(IntegrationError, match=r"^norm drift 1\.000e-03 at t=0\.5 \(N=3\) .* "
                                                    r"lower the photon cutoff N_ph or shorten t_max$"):
@@ -272,10 +277,10 @@ class TestPropagate:
         # J_z variance, taken from moments not divided by the population,
         # read -2.25e-6 and raised
         batch = [ModelParams(N=2, N_ph=3, n_init=1), ModelParams(N=3, N_ph=1, n_init=0)]
-        stepper = _Stepper(batch, "even")
-        parts = [np.eye(1, p.dims.space_dim("even"), p.initial_photons)[0] for p in batch]
+        stepper = _Stepper(batch, even_spin_terms)
+        parts = [np.eye(1, _space_dim(p, even_spin_terms), p.initial_photons)[0] for p in batch]
         amps = stepper.pack(parts)
-        rec = _Recorder(batch, "even", stepper.width, amps)
+        rec = _Recorder(batch, even_spin_terms, stepper.width, amps)
         rec.record(0.0, amps)
         rec.record(0.5, stepper.pack([parts[0], (1.0 + 5e-7) * parts[1]]))
         energy, _, spread, jz_mean, norm = rec.samples[1][-1]
@@ -594,7 +599,8 @@ class TestBatch:
         # max_dim bounds each block's full joint dimension, checked before
         # any block's factors are built
         built = []
-        for name in ("build_H_battery", "build_H_static", "drive_operator", "spin_terms"):
+        for name in ("build_H_battery", "build_H_static", "drive_operator", "even_spin_terms",
+                     "full_spin_terms"):
             monkeypatch.setattr(dynamics, name, lambda *args, name=name: built.append(name))
         small, large = ModelParams(N=1, N_ph=2), ModelParams(N=4, N_ph=100)
         with pytest.raises(ResourceError):
@@ -680,11 +686,9 @@ def _inf_norm(mat):
 
 
 def _restrict(p, space, mat):
-    """A full-space matrix M as it acts on ``space``: M itself, or P' M P with
-    P = V x I_b in the reflection-even sector."""
-    if space == "full":
-        return mat
-    basis = scipy.sparse.kron(reflection_isometry(p.N), scipy.sparse.identity(p.dims.boson_dim),
+    """A full-space matrix M as it acts on ``space``: P' M P with P = V x I_b,
+    V the space's isometry (the identity in the full space)."""
+    basis = scipy.sparse.kron(space(p.N).isometry, scipy.sparse.identity(p.dims.boson_dim),
                               format="csr")
     return (basis.T @ mat @ basis).tocsr()
 
@@ -723,7 +727,7 @@ class TestFactoredApply:
     """The stepper applies every operator from its spin x cavity factors;
     the model builders' assembled matrices are the reference."""
 
-    @pytest.mark.parametrize("space", ["full", "even"])
+    @BY_SPACE
     @pytest.mark.parametrize("n_atoms", range(1, 9))
     def test_operators_equal_the_builders(self, n_atoms, space):
         rng = np.random.default_rng(n_atoms)
@@ -731,7 +735,7 @@ class TestFactoredApply:
             p = case(n_atoms)
             stepper = _Stepper(p, space)
             ops = _assembled(p, space)
-            v = _random_state(p.dims.space_dim(space), rng)
+            v = _random_state(_space_dim(p, space), rng)
             for got, want in zip(stepper._probe(v), ops):
                 _assert_applies(got, want @ v)
             c, kappa = 0.7, 0.3j
@@ -741,7 +745,7 @@ class TestFactoredApply:
             for got, want in zip((stepper.norm_on, stepper.norm_drive, stepper.norm_comm), ops):
                 assert got[0] == pytest.approx(_inf_norm(want), rel=1e-12, abs=0.0)
 
-    @pytest.mark.parametrize("space", ["full", "even"])
+    @BY_SPACE
     def test_padded_batch_blocks_equal_their_solo_operators(self, space):
         # N = 1..6 at N_ph = 4N with a different omegac per block: every
         # block is padded to the N = 6 block's 25 Fock levels but that one
@@ -749,7 +753,7 @@ class TestFactoredApply:
                  for n in range(1, 7)]
         stepper = _Stepper(batch, space)
         rng = np.random.default_rng(11)
-        vectors = [_random_state(p.dims.space_dim(space), rng) for p in batch]
+        vectors = [_random_state(_space_dim(p, space), rng) for p in batch]
         amps = stepper.pack(vectors)
         padding = stepper.pack([np.ones(len(v)) for v in vectors]) == 0
         assert np.count_nonzero(padding) > 0 and np.all(amps[padding] == 0)
@@ -771,8 +775,8 @@ class TestFactoredApply:
 
     def test_batch_of_one_has_no_padding(self):
         p = ModelParams(N=3, N_ph=4)
-        stepper = _Stepper(p, "even")
-        v = np.arange(p.dims.space_dim("even"), dtype=complex)
+        stepper = _Stepper(p, even_spin_terms)
+        v = np.arange(_space_dim(p, even_spin_terms), dtype=complex)
         assert np.array_equal(stepper.pack([v]), v)
         assert np.shares_memory(stepper.unpack(v)[0], v)
 
@@ -782,7 +786,7 @@ class TestStepperInternals:
         # omega0 J_z + omegac a'a vanishes on |gg> x |1> and, in the full
         # space, on |eg>, |ge> x |0>
         p = ModelParams(N=2, g=0.4, Omega=0.3, eta=0.6, N_ph=3)
-        for space in ("full", "even"):
+        for space in (full_spin_terms, even_spin_terms):
             self._check_factors(p, space)
 
     @staticmethod
@@ -794,13 +798,13 @@ class TestStepperInternals:
         # rounds V'V = I), and H_on as the restricted builders.
         stepper = _Stepper(p, space)
         boson_dim = p.dims.boson_dim
-        spin_dim = p.dims.space_dim(space) // boson_dim
+        spin_dim = space(p.N).jz.shape[0]
         lower = scipy.sparse.diags(stepper.weights, 1)  # I x a on the joint grid
         eye, eye_s = scipy.sparse.identity(boson_dim), scipy.sparse.identity(spin_dim)
         a, a_dag = (boson_matrix(kind, boson_dim) for kind in ("annihilate", "create"))
-        h_b = p.omega0 * scipy.sparse.kron(spin_terms(p.N, space).jz, eye, format="csr")
+        h_b = p.omega0 * scipy.sparse.kron(space(p.N).jz, eye, format="csr")
         drive = scipy.sparse.kron(eye_s, a + a_dag)
-        if space == "full":
+        if space is full_spin_terms:
             assert np.array_equal(h_b.toarray(), build_H_battery(p).to_dense())
             assert np.array_equal(drive.toarray(), drive_operator(p).to_dense())
         # H_b is diagonal and enters the stepper as its diagonal alone, and
@@ -832,12 +836,12 @@ class TestStepperInternals:
         assert stored.nnz == 2
         assert np.array_equal(_diagonal(stored), [1.0, 0.0])
 
-    @pytest.mark.parametrize("space", ["full", "even"])
+    @BY_SPACE
     def test_charger_off_step_is_the_exact_phase(self, space):
         p = ModelParams(N=4, g=0.5, Omega=1.0, eta=0.8, omega0=1.3, N_ph=3, n_init=0, T=1.0)
         stepper = _Stepper(p, space)
         rng = np.random.default_rng(7)
-        dim = p.dims.space_dim(space)
+        dim = _space_dim(p, space)
         amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         amps /= np.linalg.norm(amps)
         h = 0.37

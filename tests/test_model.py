@@ -16,12 +16,12 @@ from dickeqb.model import (
     drive_coefficient,
     drive_operator,
     eta_matrix,
+    even_spin_terms,
+    full_spin_terms,
     hamiltonian_at,
     initial_state,
     reflection_isometry,
-    spin_terms,
     static_hamiltonian,
-    _spin_terms,
     _term_table,
 )
 from dickeqb.operators import (
@@ -56,6 +56,12 @@ class TestModelParams:
             dict(N=1, n_init=9, N_ph=4),
             dict(N=1, T=0.0),
             dict(N=1, coupling_mode="nearest"),
+            dict(N=2, N_ph=3, T=float("nan")),
+            dict(N=1, g=float("nan")),
+            dict(N=1, Omega=float("inf")),
+            dict(N=1, omega0=float("nan")),
+            dict(N=1, eta=-float("inf")),
+            dict(N=1, R=float("nan")),
         ],
     )
     def test_invalid_params(self, kwargs):
@@ -281,11 +287,11 @@ class TestAgainstPairLoop:
 
     def test_cached_terms_are_read_only(self):
         with pytest.raises(ValueError):
-            _spin_terms(3).flip_flops[0].data[0] = 2.0
+            full_spin_terms(3).flip_flops[0].data[0] = 2.0
 
     @pytest.mark.parametrize("n_atoms", range(1, 11))
     def test_bit_built_spin_terms_equal_kron_sums(self, n_atoms):
-        got = _spin_terms(n_atoms)
+        got = full_spin_terms(n_atoms)
         want = kron_spin_terms(n_atoms)
         assert len(got.flip_flops) == len(want) - 2
         for mat, ref in zip((got.jz, got.jx, *got.flip_flops), want):
@@ -358,7 +364,7 @@ class TestSiteReflection:
         # P = V x I_b
         p = reference_params(n_atoms, mode, case)
         v = reflection_isometry(n_atoms)
-        even = spin_terms(n_atoms, "even")
+        even = even_spin_terms(n_atoms)
         terms = (even.jz, even.jx, *even.flip_flops)
         refs = kron_spin_terms(n_atoms)
         assert len(terms) == len(refs)

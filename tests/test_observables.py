@@ -3,14 +3,20 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from dickeqb.errors import ContractError, NumericalError
-from dickeqb.model import ModelParams, initial_state, reflection_isometry, static_hamiltonian
+from dickeqb.model import (
+    ModelParams,
+    even_spin_terms,
+    full_spin_terms,
+    initial_state,
+    reflection_isometry,
+    static_hamiltonian,
+)
 from dickeqb.observables import (
     DENSE_FALLBACK_MAX_DIM,
     DENSE_SOLVER_DIM,
     VARIANCE_FLOOR,
     GroundStateResult,
     JzMoments,
-    _jz_diagonal,
     charging_power,
     energy_fluctuation,
     ground_state,
@@ -83,19 +89,20 @@ class TestEnergyFluctuation:
 
 
 class TestJzDiagonal:
-    @pytest.mark.parametrize("space", ["full", "even"])
+    @pytest.mark.parametrize("space", [full_spin_terms, even_spin_terms], ids=["full", "even"])
     @pytest.mark.parametrize("n_atoms", range(1, 11))
     def test_is_popcount_minus_half_n(self, n_atoms, space):
-        # In the even sector, the popcount of each column's representative,
-        # its first stored row in reflection_isometry.  V' J_z V weighs a
-        # pair's two entries by sqrt(1/2)^2 each, which rounds in the last bit.
+        # The diagonal of J_z over the space's spin states.  In the even
+        # sector, the popcount of each column's representative, its first
+        # stored row in reflection_isometry.  V' J_z V weighs a pair's two
+        # entries by sqrt(1/2)^2 each, which rounds in the last bit.
         states = np.arange(2**n_atoms)
-        if space == "even":
+        if space is even_spin_terms:
             iso = reflection_isometry(n_atoms).tocsc()
             states = iso.indices[iso.indptr[:-1]]
         want = np.array([bin(s).count("1") for s in states]) - n_atoms / 2.0
-        got = _jz_diagonal(n_atoms, space)
-        if space == "full":
+        got = space(n_atoms).jz.diagonal()
+        if space is full_spin_terms:
             assert np.array_equal(got, want)
         else:
             assert got.shape == want.shape

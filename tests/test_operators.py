@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dickeqb.errors import ContractError, DomainError
+from dickeqb.model import even_spin_terms, full_spin_terms
 from dickeqb.operators import (
     HilbertDims,
     SparseOperator,
@@ -45,12 +46,8 @@ class TestHilbertDims:
         d = HilbertDims(n_atoms, 2)
         mirrors = [int(format(s, f"0{n_atoms}b")[::-1], 2) for s in range(d.spin_dim)]
         even = sum(1 for s, r in enumerate(mirrors) if s <= r)
-        assert d.space_dim("even") == even * d.boson_dim
-        assert d.space_dim("full") == d.total_dim
-
-    def test_unknown_space(self):
-        with pytest.raises(DomainError):
-            HilbertDims(2, 1).space_dim("odd")
+        assert even_spin_terms(n_atoms).jz.shape[0] == even
+        assert full_spin_terms(n_atoms).jz.shape[0] == d.spin_dim
 
 
 class TestPauli:
