@@ -18,9 +18,8 @@ from dickeqb.dynamics import (
     Trajectory,
     oracle_propagate,
     propagate,
-    step_magnus4,
 )
-from dickeqb.model import ModelParams, dipole_coupling, eta_matrix, initial_state
+from dickeqb.model import ModelParams, dipole_coupling, initial_state
 from dickeqb.observables import (
     GroundStateResult,
     JzMoments,
@@ -50,7 +49,6 @@ __all__ = [
     "convergence_check",
     "dipole_coupling",
     "energy_fluctuation",
-    "eta_matrix",
     "find_max",
     "fit_linear",
     "fit_power_law",
@@ -60,6 +58,5 @@ __all__ = [
     "magnetization",
     "oracle_propagate",
     "propagate",
-    "step_magnus4",
     "stored_energy",
 ]

@@ -67,6 +67,12 @@ def find_max(trajectory: Trajectory, series: str) -> MaxRecord:
     return MaxRecord(t_star=t_star, value=value, series_name=series)
 
 
+def _check_finite(*arrays: np.ndarray) -> None:
+    """A fit of NaN or infinite values has no meaning: raise DomainError."""
+    if not all(np.isfinite(arr).all() for arr in arrays):
+        raise DomainError("fit requires finite N and values")
+
+
 def _least_squares(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)
@@ -87,6 +93,7 @@ def fit_power_law(Ns, P_maxes) -> FitResult:
         raise DomainError("Ns and P_maxes must be 1-d sequences of equal length")
     if len(n_arr) < 3:
         raise DomainError(f"power-law fit needs at least 3 points, got {len(n_arr)}")
+    _check_finite(n_arr, p_arr)
     if np.any(n_arr <= 0) or np.any(p_arr <= 0):
         raise DomainError("power-law fit requires strictly positive values")
     slope, intercept, r2 = _least_squares(np.log(n_arr), np.log(p_arr))
@@ -102,6 +109,7 @@ def fit_linear(Ns, E_maxes) -> tuple[float, float, float]:
         raise DomainError("Ns and E_maxes must be 1-d sequences of equal length")
     if len(n_arr) < 3:
         raise DomainError(f"linear fit needs at least 3 points, got {len(n_arr)}")
+    _check_finite(n_arr, e_arr)
     return _least_squares(n_arr, e_arr)
 
 

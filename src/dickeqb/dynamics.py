@@ -44,8 +44,9 @@ the same value on both states of a mirror pair, so V' J_z^k V is the
 sector's diagonal J_z to the k-th power.  Each sample is therefore
 recorded in the sector, from |x|^2 and the sector's J_z diagonal (see
 ``_Recorder``), and only the final state is lifted to the full joint
-basis.  ``step_magnus4`` acts on the full space, with
-``model.full_spin_terms``, so it stays exact on any state.
+basis.  Built with ``model.full_spin_terms``, the stepper acts on the
+full space instead, exact on any state; the tests check the sector
+against it.
 
 ``propagate`` also takes a batch: parameter sets that share the time
 dependence (Omega, omegad and T), such as the N = 1..6 points of a sweep
@@ -74,7 +75,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -345,8 +345,8 @@ class _Stepper:
     grid, spin-major, with width the largest N_ph + 1 of the batch; the
     levels above the block's own N_ph pad it and stay zero, since every
     weight and diagonal entry there is zero.  A batch of one
-    has no padding, and ``pack``/``unpack`` convert between the layout and
-    each block's own coordinates.  H_on v, with the drive terms
+    has no padding, and ``unpack`` converts the layout to each block's own
+    coordinates.  H_on v, with the drive terms
     c (a'+a) + kappa C of a driven step, is then four parts: the real
     diagonal omega0 J_z + omega_c n times v; one sparse product of the
     block-diagonal spin stack [2g J_x ; sum_d eta_d F_d] with the state
@@ -372,7 +372,6 @@ class _Stepper:
     """
 
     def __init__(self, params, space=full_spin_terms):
-        self.params = params
         batch = _batch(params)
         # The blocks share the time dependence, so the first one's drive
         # coefficient is every block's.
@@ -405,16 +404,8 @@ class _Stepper:
         self.kernel = CsrExpm()
         self.has_drive = self.clock.Omega != 0.0
 
-    def pack(self, parts) -> np.ndarray:
-        """The stepper's amplitudes from one vector per block, each in its
-        block's own coordinates spin * (N_ph + 1) + n."""
-        amps = np.zeros(self.blocks[-1].stop, dtype=np.complex128)
-        for block, boson_dim, part in zip(self.blocks, self.boson_dims, parts):
-            amps[block].reshape(-1, self.width)[:, :boson_dim] = np.reshape(part, (-1, boson_dim))
-        return amps
-
     def unpack(self, amps) -> list:
-        """Each block's amplitudes in its own coordinates; ``pack`` inverted."""
+        """Each block's amplitudes in its own coordinates spin * (N_ph + 1) + n."""
         return [amps[block].reshape(-1, self.width)[:, :boson_dim].ravel()
                 for block, boson_dim in zip(self.blocks, self.boson_dims)]
 
@@ -558,25 +549,6 @@ class _Stepper:
         return amps, n, n * errors
 
 
-@lru_cache(maxsize=4)
-def _shared_stepper(params: ModelParams) -> _Stepper:
-    return _Stepper(params)
-
-
-def step_magnus4(state: StateVector, t: float, dt: float, params: ModelParams) -> StateVector:
-    """One 4th-order Gauss-Magnus step (a single exponential) of the switched Hamiltonian.
-
-    Acts on the full joint space, so it is exact on any state, reflection-even or not.
-    """
-    if dt <= 0:
-        raise DomainError(f"dt must be positive, got {dt}")
-    stepper = _shared_stepper(params)
-    amps = state.amplitudes
-    for a, b, on in _charging_segments(t, t + dt, params):
-        amps = stepper.step(amps, a, b - a, on)
-    return StateVector(state.dims, amps, norm_atol=NORM_DRIFT_LIMIT)
-
-
 def _charging_segments(t0: float, t1: float, clock: ModelParams):
     """Split [t0, t1] at the edges of ``clock``'s charging window so the
     charger state, ``charger_is_on`` at each piece's midpoint, is constant
@@ -589,14 +561,6 @@ def _charging_segments(t0: float, t1: float, clock: ModelParams):
     return [(a, b, charger_is_on(0.5 * (a + b), clock)) for a, b in zip(edges[:-1], edges[1:])]
 
 
-def _time_grid(cfg: PropagationConfig):
-    """Step boundaries covering [0, t_max]; the last step may be shorter."""
-    n_steps = int(math.ceil(cfg.t_max / cfg.dt - 1e-9))
-    edges = [min(k * cfg.dt, cfg.t_max) for k in range(n_steps + 1)]
-    edges[-1] = cfg.t_max
-    return edges
-
-
 def _sample_intervals(cfg: PropagationConfig, clock: ModelParams):
     """Yield (t1, pieces) per sample interval [t0, t1]: the pieces are its
     (start, length, charger on) spans between the window edges.
@@ -606,10 +570,9 @@ def _sample_intervals(cfg: PropagationConfig, clock: ModelParams):
     exactly that length, so the step width does not jitter with the float
     sample times.
     """
-    edges = _time_grid(cfg)
-    times = edges[::cfg.sample_stride]
-    if (len(edges) - 1) % cfg.sample_stride:
-        times.append(edges[-1])
+    n_steps = int(math.ceil(cfg.t_max / cfg.dt - 1e-9))
+    times = [min(j * cfg.dt, cfg.t_max) for j in range(0, n_steps, cfg.sample_stride)]
+    times.append(cfg.t_max)
     nominal = cfg.sample_stride * cfg.dt
     for t0, t1 in zip(times[:-1], times[1:]):
         pieces = []

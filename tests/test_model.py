@@ -7,7 +7,6 @@ import scipy.sparse as sp
 from dickeqb.dynamics import _Stepper
 from dickeqb.errors import DomainError
 from dickeqb.model import (
-    COUPLING_CUTOFF,
     ModelParams,
     build_H_battery,
     build_H_static,
@@ -15,21 +14,23 @@ from dickeqb.model import (
     dipole_coupling,
     drive_coefficient,
     drive_operator,
-    eta_matrix,
     even_spin_terms,
     full_spin_terms,
-    hamiltonian_at,
     initial_state,
     reflection_isometry,
     static_hamiltonian,
     _term_table,
 )
-from dickeqb.operators import (
+from dickeqb.operators import SparseOperator, StateVector
+from reference import (
     build_boson,
     build_collective_spin,
-    build_pauli,
     expectation,
+    kron_spin_terms,
+    pair_loop_hamiltonians,
+    pauli_drive_operators,
     site_operator,
+    spin_to_joint,
 )
 
 
@@ -104,17 +105,18 @@ class TestDipoleCoupling:
 
     @pytest.mark.parametrize("n_atoms", [2, 5, 12])
     def test_eta_matrix_invariants(self, n_atoms):
+        # the couplings eta_ij of every atom pair: symmetric, 1/d^3 and zero
+        # beyond the cutoff
         p = ModelParams(N=n_atoms, eta=-0.7)
-        m = eta_matrix(p)
-        assert np.allclose(m, m.T)
-        assert np.all(np.diag(m) == 0)
-        for i in range(n_atoms):
-            for j in range(n_atoms):
-                d = abs(i - j)
+        for i in range(1, n_atoms + 1):
+            for j in range(i + 1, n_atoms + 1):
+                eta_ij = dipole_coupling(i, j, p)
+                assert dipole_coupling(j, i, p) == eta_ij
+                d = j - i
                 if d > 4:
-                    assert m[i, j] == 0.0
-                elif d >= 1:
-                    assert abs(m[i, j]) == pytest.approx(abs(p.eta) / d**3)
+                    assert eta_ij == 0.0
+                else:
+                    assert abs(eta_ij) == pytest.approx(abs(p.eta) / d**3)
 
 
 class TestBatteryHamiltonian:
@@ -125,8 +127,6 @@ class TestBatteryHamiltonian:
         assert expectation(psi0, hb) == pytest.approx(-3 * 1.3 / 2, abs=1e-12)
         top = np.zeros(p.dims.total_dim, dtype=complex)
         top[(p.dims.spin_dim - 1) * p.dims.boson_dim] = 1.0
-        from dickeqb.operators import StateVector
-
         assert expectation(StateVector(p.dims, top), hb) == pytest.approx(3 * 1.3 / 2, abs=1e-12)
 
     def test_spectrum_two_atoms(self):
@@ -147,8 +147,6 @@ class TestChargerHamiltonian:
         p = ModelParams(N=4, g=0.0, eta=0.9, N_ph=0, n_init=0)
         h = build_H_static(p).mat
         sz_total = sum(site_operator(i, "z", 4) for i in range(1, 5))
-        from dickeqb.operators import spin_to_joint
-
         sz = spin_to_joint(sz_total, p.dims)
         comm = (h @ sz - sz @ h)
         worst = abs(comm).max() if comm.nnz else 0.0
@@ -165,45 +163,12 @@ class TestChargerHamiltonian:
     def test_reduces_to_dicke_form(self):
         # eta = 0, Omega = 0: entrywise equal to w0 Jz + wc a'a + 2g(a'+a)Jx
         p = ModelParams(N=3, g=0.7, eta=0.0, Omega=0.0, omegac=1.1, N_ph=4)
-        h = hamiltonian_at(0.5, p).to_dense()
+        h = static_hamiltonian(p).to_dense()
         jz = build_collective_spin("z", p.dims).to_dense()
         jx = build_collective_spin("x", p.dims).to_dense()
         a = build_boson("annihilate", p.dims).to_dense()
         ref = 1.0 * jz + 1.1 * (a.conj().T @ a) + 2 * 0.7 * (a.conj().T + a) @ jx
         assert np.abs(h - ref).max() < 1e-12
-
-
-def pair_loop_hamiltonians(params):
-    """Reference H_b and H_static: a loop over atom pairs of site operators."""
-    n, dims = params.N, params.dims
-    sites = range(1, n + 1)
-    eye_b = sp.identity(dims.boson_dim)
-    a = sp.diags(np.sqrt(np.arange(1.0, dims.boson_dim)), 1)
-    jz = 0.5 * sum(site_operator(i, "z", n) for i in sites)
-    jx = 0.5 * sum(site_operator(i, "x", n) for i in sites)
-    flip_flop = sp.csr_matrix((dims.spin_dim, dims.spin_dim))
-    for i in sites:
-        for j in range(i + 1, n + 1):
-            pair = (site_operator(i, "-", n) @ site_operator(j, "+", n)
-                    + site_operator(j, "-", n) @ site_operator(i, "+", n))
-            flip_flop = flip_flop + dipole_coupling(i, j, params) * pair
-    h_b = params.omega0 * sp.kron(jz, eye_b)
-    h_static = (sp.kron(sp.identity(dims.spin_dim), params.omegac * (a.T @ a))
-                + 2.0 * params.g * sp.kron(jx, a + a.T) + sp.kron(flip_flop, eye_b))
-    return h_b, h_static
-
-
-def pauli_drive_operators(params):
-    """Reference a'+a, C = omega_c (a'-a) and the nested commutators
-    [H_b + H_static, C] and [a'+a, C], in closed form from ``build_pauli``
-    and ``build_boson``, on the joint space."""
-    dims, wc = params.dims, params.omegac
-    a = build_boson("annihilate", dims).mat
-    a_dag = build_boson("create", dims).mat
-    jx = 0.5 * sum(build_pauli(i, "x", dims).mat for i in range(1, params.N + 1))
-    ladder = a @ a_dag - a_dag @ a
-    return (a + a_dag, wc * (a_dag - a),
-            wc**2 * (a + a_dag) + 4.0 * params.g * wc * (jx @ ladder), 2.0 * wc * ladder)
 
 
 def max_deviation(op, ref):
@@ -241,26 +206,6 @@ def assert_matches_references(p):
     for got, ref in zip(_Stepper(p)._probe(v)[1:], (drive, *commutators)):
         want = ref @ v
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
-
-
-def kron_spin_terms(n):
-    """Reference J_z, J_x and F_1, F_2, ...: sums of ``site_operator``
-    Kronecker chains and their products, made real and duplicate-free."""
-    sites = range(1, n + 1)
-
-    def real(mat):
-        out = sp.csr_matrix(mat.real, copy=True)
-        out.sum_duplicates()
-        return out
-
-    def op(i, axis):
-        return site_operator(i, axis, n)
-
-    flip_flops = [sum(op(i, "-") @ op(i + d, "+") + op(i + d, "-") @ op(i, "+")
-                      for i in range(1, n + 1 - d))
-                  for d in range(1, min(COUPLING_CUTOFF, n - 1) + 1)]
-    return [real(m) for m in (0.5 * sum(op(i, "z") for i in sites),
-                              0.5 * sum(op(i, "x") for i in sites), *flip_flops)]
 
 
 class TestAgainstPairLoop:
@@ -456,12 +401,6 @@ class TestDrive:
 
 
 class TestSwitchedHamiltonian:
-    def test_before_charging_only_battery(self):
-        p = ModelParams(N=2, g=0.4, eta=0.3, Omega=0.2)
-        h = hamiltonian_at(-0.5, p).to_dense()
-        hb = build_H_battery(p).to_dense()
-        assert np.abs(h - hb).max() == 0.0
-
     def test_window_indicator(self):
         p = ModelParams(N=1, T=2.0)
         assert not charger_is_on(-1e-9, p)
@@ -472,19 +411,14 @@ class TestSwitchedHamiltonian:
 
     @pytest.mark.parametrize("t", [0.17, 1.3, 9.42])
     def test_hermitian_at_random_times(self, t):
+        # H(t) = H_b + H_static + c(t) (a'+a), as the oracle integrates it
         p = ModelParams(N=2, g=0.6, eta=-0.4, Omega=0.8, N_ph=3)
-        h = hamiltonian_at(t, p)
+        static = static_hamiltonian(p).mat
+        drive = drive_coefficient(t, p) * drive_operator(p).mat
+        h = SparseOperator(p.dims, static + drive, hermitian=True)
         assert h.hermitian  # construction verifies entrywise to 1e-12
         # the drive sits where H_b + H_static has no entry
-        drive = drive_coefficient(t, p) * drive_operator(p).to_dense()
-        want = static_hamiltonian(p).to_dense() + drive
-        assert np.array_equal(h.to_dense(), want)
-
-    def test_time_independent_without_drive(self):
-        p = ModelParams(N=2, g=0.6, eta=0.4, Omega=0.0, N_ph=3)
-        h1 = hamiltonian_at(0.31, p).mat
-        h2 = hamiltonian_at(7.77, p).mat
-        assert (h1 != h2).nnz == 0
+        assert abs(static).multiply(abs(drive)).count_nonzero() == 0
 
     def test_static_hamiltonian_includes_battery(self):
         p = ModelParams(N=2, g=0.5, eta=0.2, N_ph=2)

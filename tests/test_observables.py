@@ -25,7 +25,14 @@ from dickeqb.observables import (
     magnetization,
     stored_energy,
 )
-from dickeqb.operators import HilbertDims, SparseOperator, StateVector, build_pauli
+from dickeqb.operators import HilbertDims, SparseOperator, StateVector
+from reference import (
+    build_collective_spin,
+    build_pauli,
+    expectation,
+    partial_trace_spin,
+    site_operator,
+)
 
 
 def state_from_amps(dims, pairs):
@@ -120,8 +127,6 @@ class TestMagnetization:
         assert magnetization(half) == pytest.approx(0.0, abs=1e-12)
 
     def test_jz_mean_matches_expectation(self):
-        from dickeqb.operators import build_collective_spin, expectation
-
         p = ModelParams(N=2, N_ph=3)
         rng = np.random.default_rng(4)
         amps = rng.normal(size=p.dims.total_dim) + 1j * rng.normal(size=p.dims.total_dim)
@@ -240,8 +245,6 @@ class TestPartialTraceForm:
     @pytest.mark.parametrize("seed", [21, 22])
     def test_stored_energy_equals_reduced_density_form(self, seed):
         # joint-state expectation vs trace over the battery's reduced matrix
-        from dickeqb.operators import partial_trace_spin, site_operator
-
         p = ModelParams(N=3, omega0=1.0, N_ph=4)
         rng = np.random.default_rng(seed)
         amps = rng.normal(size=p.dims.total_dim) + 1j * rng.normal(size=p.dims.total_dim)

