@@ -100,7 +100,7 @@ from dickeqb.model import (
     full_spin_terms,
     initial_state,
 )
-from dickeqb.operators import StateVector
+from dickeqb.operators import StateVector, require_int
 
 # Gauss-Legendre nodes of one step and the weight of the node commutator in
 # the Magnus-4 exponent.
@@ -147,6 +147,8 @@ class PropagationConfig:
             raise DomainError(f"dt must be positive, got {self.dt}")
         if self.t_max < self.dt:
             raise DomainError(f"t_max must be >= dt, got t_max={self.t_max} dt={self.dt}")
+        require_int("sample_stride", self.sample_stride)
+        require_int("max_dim", self.max_dim)
         if self.sample_stride < 1:
             raise DomainError(f"sample_stride must be >= 1, got {self.sample_stride}")
         if self.max_dim < 1:
@@ -371,7 +373,7 @@ class _Stepper:
     states in it, which no operator leaves.
     """
 
-    def __init__(self, params, space=full_spin_terms):
+    def __init__(self, params, space):
         batch = _batch(params)
         # The blocks share the time dependence, so the first one's drive
         # coefficient is every block's.

@@ -6,19 +6,17 @@ coupling 2g(a'+a)J_x, the distance-dependent atomic flip-flop couplings and
 a cosine drive on the cavity quadrature.  Everything is expressed in units
 of the atomic splitting omega0 (hbar = 1).
 
-Every operator below is assembled in the full joint space, the same way.
-A read-only term table, cached per (N, N_ph), holds each term spin factor
-x boson factor of TERMS: the spin factors J_z, J_x and the flip-flop
-distance sums F_d of ``full_spin_terms`` and the identity; the boson factors
-I, a'a and a'+a.  The spin factors are written from the bits of the spin
-index, with no site-operator Kronecker chain: popcounts on the diagonal of
-J_z, single-bit flips for J_x, and two-bit flips of unequal pair bits for
-F_d.  All terms sit on one CSR pattern, the sorted union of their
-row-major linear positions (a term's positions are an outer sum of its
-factors'), so one parameter set's operator is a coefficient combination
-of term data; its nonzeros become a new matrix, which the Hermitian check
-of SparseOperator then verifies.  Repeated assemblies at one (N, N_ph),
-such as a phase diagram's points, build no Kronecker product.  A spin
+Every operator below is assembled in the full joint space, the same way,
+as a sum of terms spin factor x cavity factor: the spin factors J_z, J_x
+and the flip-flop distance sums F_d of ``full_spin_terms`` and the
+identity; the cavity factors I, a'a and a'+a.  The spin factors are written
+from the bits of the spin index, with no site-operator Kronecker chain:
+popcounts on the diagonal of J_z, single-bit flips for J_x, and two-bit
+flips of unequal pair bits for F_d.  Each term's Kronecker product is
+built once per (N, N_ph) and cached read-only, so repeated assemblies at
+one (N, N_ph), such as a phase diagram's points, build no Kronecker
+product; an operator is its terms' scaled entries, summed into a new CSR
+matrix, which the Hermitian check of SparseOperator then verifies.  A spin
 space is the cached builder N -> SpinTerms of its spin factors:
 ``full_spin_terms``, or ``even_spin_terms`` for the reflection-even
 sector, which has no assembled operator.
@@ -35,8 +33,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from dickeqb.errors import DomainError
-from dickeqb import operators as ops
-from dickeqb.operators import HilbertDims, SparseOperator, StateVector
+from dickeqb.operators import HilbertDims, SparseOperator, StateVector, require_int
 
 # Flip-flop couplings fall off as 1/|i-j|^3 and are dropped beyond this
 # many lattice offsets.
@@ -87,6 +84,9 @@ class ModelParams:
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise DomainError(f"{f.name} must be finite, got {value}")
+        require_int("N", self.N)
+        require_int("N_ph", self.photon_cutoff)
+        require_int("n_init", self.initial_photons)
         if self.N < 1:
             raise DomainError(f"N must be >= 1, got {self.N}")
         if self.omega0 <= 0 or self.omegac <= 0:
@@ -182,11 +182,8 @@ def _frozen(mat) -> sp.csr_matrix:
 def _spin_matrix(dim: int, rows: np.ndarray, cols: np.ndarray, data) -> sp.csr_matrix:
     """Read-only real dim x dim CSR matrix with ``data`` at the distinct
     positions (rows, cols)."""
-    keys = rows * dim + cols
-    order = np.argsort(keys, kind="stable")
-    indptr, indices = ops.pattern_from_keys(keys[order], dim)
-    data = np.broadcast_to(np.asarray(data, dtype=np.float64), keys.shape)[order]
-    return _frozen(sp.csr_matrix((data, indices, indptr), shape=(dim, dim)))
+    data = np.broadcast_to(np.asarray(data, dtype=np.float64), rows.shape)
+    return _frozen(sp.coo_matrix((data, (rows, cols)), shape=(dim, dim)))
 
 
 @lru_cache(maxsize=16)
@@ -279,102 +276,55 @@ def even_spin_terms(n_atoms: int) -> SpinTerms:
     )
 
 
-def _boson_factors(boson_dim: int) -> dict:
-    """Real cavity factors of the terms on the Fock space 0..N_ph: I, a'a
-    and a'+a.  The cutoff is hard: a' annihilates the top Fock state, so
-    every factor stays inside the truncated space."""
-    n = np.arange(1, boson_dim)
-    a = sp.csr_matrix((np.sqrt(n, dtype=float), (n - 1, n)), shape=(boson_dim, boson_dim))
-    a_dag = a.T
-    factors = {"1": sp.identity(boson_dim), "a'a": a_dag @ a, "a'+a": a + a_dag}
-    return {name: _frozen(mat) for name, mat in factors.items()}
-
-
-# Terms (spin factor, boson factor) that the operators below combine; "1"
-# is an identity, and F<d> = flip_flops[d - 1] adds one term per distance.
-TERMS = (("Jz", "1"), ("1", "a'a"), ("Jx", "a'+a"), ("1", "a'+a"))
-
-
-class _TermTable(NamedTuple):
-    """The terms of one (N, N_ph) on one CSR pattern, the union of theirs.
-    ``terms`` maps a term to (spin factor, boson factor, positions): its
-    Kronecker product's k-th stored entry, the product of the factors' data
-    at k // B.nnz and k % B.nnz, sits at positions[k] of the pattern's
-    data."""
-
-    indptr: np.ndarray
-    indices: np.ndarray
-    terms: dict
-
-
 @lru_cache(maxsize=8)
-def _term_table(n_atoms: int, n_photon_max: int) -> _TermTable:
-    """The term table of one (N, N_ph), built once.
-
-    A term is kron(spin factor, boson factor), with the spin factors of
-    ``full_spin_terms``.  Only the positions are stored per entry; the values
-    are the factors' products.  Every caller shares the table, so its
-    arrays are read-only.
-    """
+def _kron_terms(n_atoms: int, n_photon_max: int) -> dict:
+    """The terms of one (N, N_ph), built once: each kron(spin factor, cavity
+    factor) as a COO matrix, keyed by name.  The spin factors are those of
+    ``full_spin_terms`` and the identity; the cavity factors, on the Fock
+    space 0..N_ph, are I, a'a and a'+a, with a hard cutoff: a' annihilates
+    the top Fock state.  Every caller shares the terms, so their arrays are
+    read-only."""
     spin = full_spin_terms(n_atoms)
-    spin_factors = {"1": _frozen(sp.identity(spin.jz.shape[0])), "Jz": spin.jz, "Jx": spin.jx}
-    spin_factors.update((f"F{d}", f_d) for d, f_d in enumerate(spin.flip_flops, start=1))
-    boson_dim = n_photon_max + 1
-    boson = _boson_factors(boson_dim)
-    dim = spin.jz.shape[0] * boson_dim
-
-    def kron_keys(s_mat, b_mat):
-        """Row-major linear positions of kron(s_mat, b_mat)'s stored entries,
-        in its entry order: entries (r, c) and (p, q) of the factors sit at
-        (r B + p) dim + c B + q = (r dim + c) B + (p dim + q)."""
-        s_rows, s_cols = np.divmod(ops.linear_keys(s_mat), s_mat.shape[1])
-        b_rows, b_cols = np.divmod(ops.linear_keys(b_mat), boson_dim)
-        return (((s_rows * dim + s_cols) * boson_dim)[:, None] + (b_rows * dim + b_cols)).ravel()
-
-    keys = TERMS + tuple((f"F{d}", "1") for d in range(1, len(spin.flip_flops) + 1))
-    flats = {(s_key, b_key): kron_keys(spin_factors[s_key], boson[b_key]) for s_key, b_key in keys}
-    # Row-major linear positions; sorted, they are the CSR order.
-    union = ops.union_keys(*flats.values())
-    indptr, indices = ops.pattern_from_keys(union, dim)
-    return _TermTable(
-        indptr=_read_only(indptr),
-        indices=_read_only(indices),
-        terms={(s_key, b_key): (spin_factors[s_key], boson[b_key],
-                                _read_only(np.searchsorted(union, flat).astype(np.int32)))
-               for (s_key, b_key), flat in flats.items()},
-    )
+    n = np.arange(1, n_photon_max + 1)
+    a = sp.csr_matrix((np.sqrt(n, dtype=float), (n - 1, n)), shape=(n_photon_max + 1,) * 2)
+    spin_eye, cavity_eye = sp.identity(2**n_atoms), sp.identity(n_photon_max + 1)
+    quadrature = a + a.T
+    factors = {"Jz": (spin.jz, cavity_eye), "a'a": (spin_eye, a.T @ a),
+               "Jx(a'+a)": (spin.jx, quadrature), "a'+a": (spin_eye, quadrature)}
+    factors.update((f"F{d}", (f_d, cavity_eye)) for d, f_d in enumerate(spin.flip_flops, start=1))
+    terms = {key: sp.kron(*pair, format="coo") for key, pair in factors.items()}
+    for term in terms.values():
+        for arr in (term.data, term.row, term.col):
+            _read_only(arr)
+    return terms
 
 
 def _assemble(params: ModelParams, coefficients) -> SparseOperator:
     """The Hermitian operator sum of coefficient * term over ``coefficients``,
-    a list of (term, coefficient) pairs.
-
-    The sum is formed on the table's pattern and its nonzeros, the entries a
-    sparse sum of the terms would keep, become a new matrix that shares no
-    array with the table.
-    """
+    a list of (term name, coefficient) pairs: the terms' scaled entries,
+    converted to CSR at once, which sums the entries that terms share, with
+    the exact zeros dropped.  The matrix shares no array with the terms."""
     dim = params.dims.total_dim
-    table = _term_table(params.N, params.photon_cutoff)
-    data = np.zeros(len(table.indices))
-    for key, coefficient in coefficients:
-        if coefficient != 0.0:
-            spin, boson, positions = table.terms[key]
-            data[positions] += coefficient * np.multiply.outer(spin.data, boson.data).ravel()
-    mat = sp.csr_matrix((data, table.indices.copy(), table.indptr.copy()), shape=(dim, dim))
+    terms = _kron_terms(params.N, params.photon_cutoff)
+    used = [(terms[key], coefficient) for key, coefficient in coefficients if coefficient != 0.0]
+    data = np.concatenate([coefficient * term.data for term, coefficient in used])
+    rows = np.concatenate([term.row for term, _ in used])
+    cols = np.concatenate([term.col for term, _ in used])
+    mat = sp.csr_matrix((data, (rows, cols)), shape=(dim, dim))
     mat.eliminate_zeros()
     return SparseOperator(params.dims, mat, hermitian=True)
 
 
 def _static_terms(params: ModelParams) -> list:
     """(term, coefficient) pairs of H_static."""
-    flip_flops = [((f"F{d}", "1"), dipole_coupling(1, 1 + d, params))
+    flip_flops = [(f"F{d}", dipole_coupling(1, 1 + d, params))
                   for d in range(1, min(COUPLING_CUTOFF, params.N - 1) + 1)]
-    return [(("1", "a'a"), params.omegac), (("Jx", "a'+a"), 2.0 * params.g), *flip_flops]
+    return [("a'a", params.omegac), ("Jx(a'+a)", 2.0 * params.g), *flip_flops]
 
 
 def build_H_battery(params: ModelParams) -> SparseOperator:
     """Battery Hamiltonian omega0 * J_z (tensored with the cavity identity)."""
-    return _assemble(params, [(("Jz", "1"), params.omega0)])
+    return _assemble(params, [("Jz", params.omega0)])
 
 
 def build_H_static(params: ModelParams) -> SparseOperator:
@@ -390,7 +340,7 @@ def build_H_static(params: ModelParams) -> SparseOperator:
 
 def drive_operator(params: ModelParams) -> SparseOperator:
     """Cavity quadrature a' + a (the drive couples to it)."""
-    return _assemble(params, [(("1", "a'+a"), 1.0)])
+    return _assemble(params, [("a'+a", 1.0)])
 
 
 def drive_coefficient(t: float, params: ModelParams) -> float:
@@ -407,7 +357,7 @@ def charger_is_on(t: float, params: ModelParams) -> bool:
 
 def static_hamiltonian(params: ModelParams) -> SparseOperator:
     """Undriven total Hamiltonian H_b + H_static (used by the ground-state solver)."""
-    return _assemble(params, [(("Jz", "1"), params.omega0), *_static_terms(params)])
+    return _assemble(params, [("Jz", params.omega0), *_static_terms(params)])
 
 
 def initial_state(params: ModelParams) -> StateVector:

@@ -9,8 +9,8 @@ of the space it steps in.  J_z is diagonal in every space, and its
 diagonal comes from the model's bit-built spin terms.  The ground-state
 solver for the (eta, g) phase diagram lives here as well; it solves a
 Hamiltonian with all-real entries, as the model's are, in real symmetric
-arithmetic.  The model builds those Hamiltonians from the term table it
-caches per (N, N_ph).
+arithmetic.  The model builds those Hamiltonians from the Kronecker terms
+it caches per (N, N_ph).
 """
 
 from __future__ import annotations

@@ -22,6 +22,13 @@ HERMITIAN_ATOL = 1e-12
 NORM_ATOL = 1e-10
 
 
+def require_int(name: str, value) -> None:
+    """Raise DomainError unless ``value`` is a Python or NumPy integer.  A
+    bool is rejected, although Python counts it as one."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class HilbertDims:
     """Sizes of the joint Hilbert space of N two-level atoms and one mode."""
@@ -30,6 +37,8 @@ class HilbertDims:
     n_photon_max: int
 
     def __post_init__(self):
+        require_int("n_atoms", self.n_atoms)
+        require_int("n_photon_max", self.n_photon_max)
         if self.n_atoms < 1:
             raise DomainError(f"n_atoms must be >= 1, got {self.n_atoms}")
         if self.n_photon_max < 0:
@@ -121,26 +130,3 @@ class StateVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-
-def linear_keys(mat) -> np.ndarray:
-    """Row-major linear positions row * n_cols + col (int64) of the stored
-    entries of a CSR matrix, in storage order; sorted for sorted indices."""
-    rows = np.repeat(np.arange(mat.shape[0], dtype=np.int64), np.diff(mat.indptr))
-    return rows * mat.shape[1] + mat.indices
-
-
-def union_keys(*keys: np.ndarray) -> np.ndarray:
-    """Sorted distinct union of linear-position arrays.  A stable sort
-    merges the sorted runs of CSR keys in near-linear time; np.unique
-    takes tens of times longer on them."""
-    merged = np.sort(np.concatenate(keys), kind="stable")
-    first = np.ones(len(merged), dtype=bool)
-    first[1:] = merged[1:] != merged[:-1]
-    return merged[first]
-
-
-def pattern_from_keys(keys: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """int32 indptr and indices of the dim x dim CSR pattern whose entries
-    sit at the sorted, distinct row-major linear positions ``keys``."""
-    indptr = np.searchsorted(keys, np.arange(dim + 1, dtype=np.int64) * dim)
-    return indptr.astype(np.int32), (keys % dim).astype(np.int32)

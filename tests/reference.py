@@ -17,7 +17,7 @@ import scipy.sparse as sp
 
 from dickeqb.dynamics import NORM_DRIFT_LIMIT, _charging_segments, _Stepper
 from dickeqb.errors import ContractError, DomainError, NumericalError
-from dickeqb.model import COUPLING_CUTOFF, dipole_coupling
+from dickeqb.model import COUPLING_CUTOFF, dipole_coupling, full_spin_terms
 from dickeqb.operators import SparseOperator, StateVector
 
 IMAG_RESIDUE_LIMIT = 1e-8
@@ -178,9 +178,36 @@ def pauli_drive_operators(params):
             wc**2 * (a + a_dag) + 4.0 * params.g * wc * (jx @ ladder), 2.0 * wc * ladder)
 
 
+def kron_sum_operators(params):
+    """Reference H_b, H_static, a'+a and H_b + H_static, by name: each a sum
+    of coefficient * sp.kron(spin factor, cavity factor) over
+    ``kron_spin_terms`` and ``boson_matrix``, built anew on every call.
+    The sparse sums drop the entries that cancel exactly."""
+    dims = params.dims
+    jz, jx, *flip_flops = kron_spin_terms(params.N)
+    spin_eye = sp.identity(dims.spin_dim, format="csr")
+    cavity_eye = sp.identity(dims.boson_dim, format="csr")
+    quadrature = (boson_matrix("annihilate", dims.boson_dim)
+                  + boson_matrix("create", dims.boson_dim)).real
+    battery = [(params.omega0, jz, cavity_eye)]
+    static = [(params.omegac, spin_eye, boson_matrix("number", dims.boson_dim).real),
+              (2.0 * params.g, jx, quadrature),
+              *((dipole_coupling(1, 1 + d, params), f_d, cavity_eye)
+                for d, f_d in enumerate(flip_flops, start=1))]
+
+    def total(terms):
+        mat = sp.csr_matrix((dims.total_dim, dims.total_dim))
+        for coefficient, spin, cavity in terms:
+            mat = mat + coefficient * sp.kron(spin, cavity, format="csr")
+        return sp.csr_matrix(mat, dtype=np.complex128)
+
+    return {"H_battery": total(battery), "H_static": total(static),
+            "drive": total([(1.0, spin_eye, quadrature)]), "static": total(battery + static)}
+
+
 @lru_cache(maxsize=4)
 def _full_space_stepper(params) -> _Stepper:
-    return _Stepper(params)
+    return _Stepper(params, full_spin_terms)
 
 
 def step_magnus4(state: StateVector, t: float, dt: float, params) -> StateVector:

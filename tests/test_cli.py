@@ -429,14 +429,14 @@ class TestParser:
         # scipy.integrate serves only the oracle, and scipy.sparse.linalg
         # only the ground-state solver; importing them with the CLI would
         # add ~0.3 s and ~11 ms to every start.  Nor does the import
-        # assemble: the model's term tables and spin factors are built on
-        # first use.
+        # assemble: the model's Kronecker terms and spin factors are built
+        # on first use.
         src = str(Path(cli.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         code = ("import sys, dickeqb.cli; from dickeqb import model; "
                 "print('scipy.integrate' in sys.modules, 'scipy.sparse.linalg' in sys.modules, "
-                "model._term_table.cache_info().currsize, "
+                "model._kron_terms.cache_info().currsize, "
                 "model.full_spin_terms.cache_info().currsize, "
                 "model.even_spin_terms.cache_info().currsize)")
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,

@@ -67,11 +67,19 @@ class TestPropagationConfig:
             dict(dt=float("nan")),
             dict(t_max=float("nan")),
             dict(t_max=float("inf")),
+            dict(sample_stride=2.5),
+            dict(sample_stride=True),
+            dict(max_dim=1e5),
+            dict(max_dim=False),
         ],
     )
     def test_invalid(self, kwargs):
         with pytest.raises(DomainError):
             PropagationConfig(**kwargs)
+
+    def test_numpy_integer_counts(self):
+        cfg = PropagationConfig(sample_stride=np.int64(5), max_dim=np.int32(1000))
+        assert (cfg.sample_stride, cfg.max_dim) == (5, 1000)
 
 
 class TestChargingSegments:
@@ -311,7 +319,7 @@ def _full_space_run(batch, cfg):
     """propagate's step plan replayed on the batch by a full-space stepper,
     each sample's observables taken from its joint states with
     ``jz_moments``."""
-    stepper = _Stepper(batch)
+    stepper = _Stepper(batch, full_spin_terms)
     amps = pack(stepper, [initial_state(p).amplitudes for p in batch])
     times, samples, steps = [0.0], [stepper.unpack(amps)], 0
     for t1, pieces in _sample_intervals(cfg, batch[0]):
@@ -408,7 +416,7 @@ class TestStepperBuffer:
         energies = [stored_energy(jz_moments(StateVector(p.dims, amps)), p)]
         for _, pieces in _sample_intervals(cfg, p):
             for a, length, on in pieces:
-                amps, _, _ = _Stepper(p).advance(amps, a, length, on)
+                amps, _, _ = _Stepper(p, full_spin_terms).advance(amps, a, length, on)
             energies.append(stored_energy(jz_moments(StateVector(p.dims, amps, norm_atol=1e-8)), p))
         assert np.abs(traj.final_state.amplitudes - amps).max() < 1e-14
         assert np.abs(traj.E_b - energies).max() < 1e-14
@@ -446,7 +454,7 @@ def _state_at(p, t):
 class TestLocalError:
     def test_equals_dense_magnus6_difference(self):
         p = ModelParams(N=2, g=0.6, eta=0.4, Omega=0.9, omegac=1.3, omegad=0.7, N_ph=4)
-        stepper = _Stepper(p)
+        stepper = _Stepper(p, full_spin_terms)
         psi = _state_at(p, 0.9)
         probe = stepper._probe(psi)
         for t, h in ((0.3, 0.05), (2.0, 0.2)):
@@ -459,7 +467,7 @@ class TestLocalError:
     def test_tracks_true_local_error(self, g, Omega, eta, h):
         # true error of one magnus4 step against 8 dense Magnus-6 substeps
         p = ModelParams(N=3, g=g, Omega=Omega, eta=eta)
-        stepper = _Stepper(p)
+        stepper = _Stepper(p, full_spin_terms)
         for t in (0.7, 3.1):
             psi = _state_at(p, t)
             ref = psi
@@ -475,7 +483,8 @@ class TestLocalError:
         assert traj.step_error == 0.0
         assert traj.steps == len(traj.times) - 1
         driven = ModelParams(N=2, g=0.7, Omega=1.0, N_ph=6, T=1.0)
-        amps, n, error = _Stepper(driven).advance(initial_state(driven).amplitudes, 2.0, 0.5, False)
+        stepper = _Stepper(driven, full_spin_terms)
+        amps, n, error = stepper.advance(initial_state(driven).amplitudes, 2.0, 0.5, False)
         assert (n, error) == (1, 0.0)
 
 
@@ -525,7 +534,8 @@ class TestBatch:
         batch = [ModelParams(N=2, g=0.6, eta=0.4, Omega=0.9, omegac=1.3, omegad=0.7, N_ph=4),
                  ModelParams(N=3, g=2.0, eta=-0.5, Omega=0.9, omegad=0.7, N_ph=3),
                  ModelParams(N=1, g=0.1, Omega=0.9, omegad=0.7, N_ph=2, n_init=0)]
-        stacked, solos = _Stepper(batch), [_Stepper(p) for p in batch]
+        stacked = _Stepper(batch, full_spin_terms)
+        solos = [_Stepper(p, full_spin_terms) for p in batch]
         psis = [_state_at(p, 0.9) for p in batch]
         amps = pack(stacked, psis)
         for t, h in ((0.3, 0.05), (2.0, 0.4)):
@@ -575,13 +585,13 @@ class TestBatch:
 
     def test_steps_without_a_cached_term_table(self, monkeypatch):
         # the stepper applies its operators from the spin terms and builds
-        # no term table, so none is held through the stepping
-        model._term_table.cache_clear()
+        # no Kronecker term, so none is held through the stepping
+        model._kron_terms.cache_clear()
         cached = []
         advance = _Stepper.advance
 
         def recording(self, *args):
-            cached.append(model._term_table.cache_info().currsize)
+            cached.append(model._kron_terms.cache_info().currsize)
             return advance(self, *args)
 
         monkeypatch.setattr(_Stepper, "advance", recording)
@@ -861,7 +871,7 @@ class TestStepperInternals:
 
     def test_probe_stands_in_for_the_first_matvec(self):
         p = ModelParams(N=3, g=0.5, Omega=1.0, eta=0.8, N_ph=4)
-        stepper = _Stepper(p)
+        stepper = _Stepper(p, full_spin_terms)
         amps = _state_at(p, 0.4)
         probe = stepper._probe(amps)
         products = []

@@ -19,7 +19,7 @@ from dickeqb.model import (
     initial_state,
     reflection_isometry,
     static_hamiltonian,
-    _term_table,
+    _kron_terms,
 )
 from dickeqb.operators import SparseOperator, StateVector
 from reference import (
@@ -27,6 +27,7 @@ from reference import (
     build_collective_spin,
     expectation,
     kron_spin_terms,
+    kron_sum_operators,
     pair_loop_hamiltonians,
     pauli_drive_operators,
     site_operator,
@@ -63,11 +64,24 @@ class TestModelParams:
             dict(N=1, omega0=float("nan")),
             dict(N=1, eta=-float("inf")),
             dict(N=1, R=float("nan")),
+            dict(N=2.5),
+            dict(N=2.0),
+            dict(N=True),
+            dict(N=None),
+            dict(N=2, N_ph=3.5),
+            dict(N=2, N_ph=False),
+            dict(N=2, n_init=1.5),
+            dict(N=2, n_init=np.float64(1.0)),
         ],
     )
     def test_invalid_params(self, kwargs):
         with pytest.raises(DomainError):
             ModelParams(**kwargs)
+
+    def test_numpy_integer_counts(self):
+        p = ModelParams(N=np.int64(2), N_ph=np.int32(3), n_init=np.int8(1))
+        assert p.dims.total_dim == 16
+        assert p.initial_photons == 1
 
 
 class TestDipoleCoupling:
@@ -203,7 +217,7 @@ def assert_matches_references(p):
     # the stepper applies C and the nested commutators from their factors
     rng = np.random.default_rng(p.N)
     v = rng.normal(size=p.dims.total_dim) + 1j * rng.normal(size=p.dims.total_dim)
-    for got, ref in zip(_Stepper(p)._probe(v)[1:], (drive, *commutators)):
+    for got, ref in zip(_Stepper(p, full_spin_terms)._probe(v)[1:], (drive, *commutators)):
         want = ref @ v
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
@@ -251,24 +265,25 @@ class TestAgainstPairLoop:
 
 class TestTermTable:
     def test_table_is_read_only(self):
-        table = _term_table(3, 2)
-        spin, boson, positions = table.terms[("Jx", "a'+a")]
-        for arr in (table.indptr, table.indices, positions, spin.data, boson.data):
-            with pytest.raises(ValueError):
-                arr[0] = 1
+        for term in _kron_terms(3, 2).values():
+            for arr in (term.data, term.row, term.col):
+                with pytest.raises(ValueError):
+                    arr[0] = 1
 
     def test_operators_share_no_array_with_the_table(self):
         p = ModelParams(N=3, g=0.6, eta=-0.4, N_ph=2, n_init=0)
-        table = _term_table(p.N, p.photon_cutoff)
+        spin = full_spin_terms(p.N)
         mat = build_H_static(p).mat
-        cached = [table.indptr, table.indices,
-                  *(a for spin, boson, positions in table.terms.values()
-                    for a in (spin.data, boson.data, positions))]
+        cached = [a for term in _kron_terms(p.N, p.photon_cutoff).values()
+                  for a in (term.data, term.row, term.col)]
+        cached += [a for f in (spin.jz, spin.jx, *spin.flip_flops)
+                   for a in (f.data, f.indices, f.indptr)]
         for arr in (mat.data, mat.indices, mat.indptr):
             assert not any(np.shares_memory(arr, c) for c in cached)
 
     def test_in_place_edits_leave_the_next_assembly_unchanged(self):
-        # one shared pattern edited in place would corrupt every later build
+        # an array shared with the cache and edited in place would corrupt
+        # every later build
         p = ModelParams(N=4, g=0.5, eta=0.3, N_ph=3, n_init=0)
         want = build_H_static(p).mat.copy()
         edited = build_H_static(p).mat
@@ -279,6 +294,35 @@ class TestTermTable:
         assert np.array_equal(got.indptr, want.indptr)
         assert np.array_equal(got.indices, want.indices)
         assert np.array_equal(got.data, want.data)
+
+
+class TestAgainstKronSums:
+    BUILDERS = {"H_battery": build_H_battery, "H_static": build_H_static,
+                "drive": drive_operator, "static": static_hamiltonian}
+
+    def check(self, p):
+        want = kron_sum_operators(p)
+        for name, build in self.BUILDERS.items():
+            got = build(p).mat
+            for attr in ("indptr", "indices", "data"):
+                arr, ref_arr = getattr(got, attr), getattr(want[name], attr)
+                assert arr.dtype == ref_arr.dtype, (name, attr)
+                assert np.array_equal(arr, ref_arr), (name, attr)
+        return want
+
+    @pytest.mark.parametrize("n_atoms", range(1, 7))
+    @pytest.mark.parametrize("cutoff", ["0", "1", "3", "2N"])
+    def test_operators_equal_kron_sums(self, n_atoms, cutoff):
+        n_ph = 2 * n_atoms if cutoff == "2N" else int(cutoff)
+        self.check(ModelParams(N=n_atoms, g=0.37, eta=-0.41, omega0=1.3, omegac=0.9,
+                               N_ph=n_ph, n_init=0))
+
+    def test_exact_cancellation_is_dropped(self):
+        # omega0 J_z + omega_c n is -1 + 1 = 0 at |gg>|1>, joint index 1
+        p = ModelParams(N=2, g=0.5, eta=0.2, N_ph=3, n_init=0)
+        want = self.check(p)
+        for mat in (want["static"], static_hamiltonian(p).mat):
+            assert 1 not in mat.indices[mat.indptr[1]:mat.indptr[2]]
 
 
 def site_reflection(n_atoms):

@@ -34,7 +34,8 @@ class TestHilbertDims:
         assert d.boson_dim == 8
         assert d.total_dim == 64
 
-    @pytest.mark.parametrize("n_atoms,n_ph", [(0, 4), (-1, 4), (2, -1)])
+    @pytest.mark.parametrize("n_atoms,n_ph", [(0, 4), (-1, 4), (2, -1), (2.0, 4), (2, 4.5),
+                                              (True, 4), (2, None)])
     def test_invalid(self, n_atoms, n_ph):
         with pytest.raises(DomainError):
             HilbertDims(n_atoms, n_ph)
