@@ -30,7 +30,7 @@ from dickeqb.observables import (
     magnetization,
     stored_energy,
 )
-from dickeqb.operators import HilbertDims, SparseOperator, StateVector
+from dickeqb.operators import HilbertDims, StateVector
 
 __version__ = "0.1.0"
 
@@ -42,7 +42,6 @@ __all__ = [
     "MaxRecord",
     "ModelParams",
     "PropagationConfig",
-    "SparseOperator",
     "StateVector",
     "Trajectory",
     "charging_power",

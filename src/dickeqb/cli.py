@@ -364,7 +364,7 @@ def cmd_fit(args) -> int:
 def _phase_point(task):
     params = task
     try:
-        result = observables.ground_state(static_hamiltonian(params))
+        result = observables.ground_state(static_hamiltonian(params), params.dims)
         return (params.eta, params.g, result.magnetization, result.gap, "")
     except NumericalError as exc:
         return (params.eta, params.g, float("nan"), float("nan"), str(exc))

@@ -732,10 +732,10 @@ def _magnus4_batch(batch, cfg: PropagationConfig) -> list:
 def oracle_propagate(params: ModelParams, cfg: PropagationConfig | None = None) -> Trajectory:
     """Independent reference propagation: DOP853 on i psi' = H(t) psi.
 
-    Integrates in the full joint space with the sparse H_b, H_static and
-    a'+a, at rtol = atol = ORACLE_TOL, with one solve per (start, length,
-    charger on) piece of the sample intervals magnus4 walks, so both record
-    at the same times.  DOP853 is not unitary; the recorder's norm guard
+    Integrates in the full joint space with the model's real CSR matrices
+    H_b, H_static and a'+a, at rtol = atol = ORACLE_TOL, with one solve per
+    (start, length, charger on) piece of the sample intervals magnus4 walks,
+    so both record at the same times.  DOP853 is not unitary; the recorder's norm guard
     still applies.  Raises ResourceError when the dimension exceeds
     ``max_dim`` and NumericalError when a solve fails.
     """
@@ -744,9 +744,9 @@ def oracle_propagate(params: ModelParams, cfg: PropagationConfig | None = None) 
 
     cfg = cfg or PropagationConfig()
     _check_dim(params, cfg.max_dim)
-    h_off = build_H_battery(params).mat
-    h_on = h_off + build_H_static(params).mat
-    drive = drive_operator(params).mat
+    h_off = build_H_battery(params)
+    h_on = h_off + build_H_static(params)
+    drive = drive_operator(params)
 
     def rhs_on(t, y):
         return -1j * (h_on @ y + drive_coefficient(t, params) * (drive @ y))

@@ -15,8 +15,8 @@ popcounts on the diagonal of J_z, single-bit flips for J_x, and two-bit
 flips of unequal pair bits for F_d.  Each term's Kronecker product is
 built once per (N, N_ph) and cached read-only, so repeated assemblies at
 one (N, N_ph), such as a phase diagram's points, build no Kronecker
-product; an operator is its terms' scaled entries, summed into a new CSR
-matrix, which the Hermitian check of SparseOperator then verifies.  A spin
+product; an operator is its terms' scaled entries, summed into a new real
+CSR matrix in canonical form, symmetric by construction.  A spin
 space is the cached builder N -> SpinTerms of its spin factors:
 ``full_spin_terms``, or ``even_spin_terms`` for the reflection-even
 sector, which has no assembled operator.
@@ -33,7 +33,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from dickeqb.errors import DomainError
-from dickeqb.operators import HilbertDims, SparseOperator, StateVector, require_int
+from dickeqb.operators import HilbertDims, StateVector, require_int
 
 # Flip-flop couplings fall off as 1/|i-j|^3 and are dropped beyond this
 # many lattice offsets.
@@ -299,11 +299,12 @@ def _kron_terms(n_atoms: int, n_photon_max: int) -> dict:
     return terms
 
 
-def _assemble(params: ModelParams, coefficients) -> SparseOperator:
-    """The Hermitian operator sum of coefficient * term over ``coefficients``,
-    a list of (term name, coefficient) pairs: the terms' scaled entries,
-    converted to CSR at once, which sums the entries that terms share, with
-    the exact zeros dropped.  The matrix shares no array with the terms."""
+def _assemble(params: ModelParams, coefficients) -> sp.csr_matrix:
+    """The real symmetric operator sum of coefficient * term over
+    ``coefficients``, a list of (term name, coefficient) pairs: the terms'
+    scaled entries, converted to CSR at once, which sums the entries that
+    terms share and sorts each row, with the exact zeros dropped.  The
+    matrix shares no array with the terms."""
     dim = params.dims.total_dim
     terms = _kron_terms(params.N, params.photon_cutoff)
     used = [(terms[key], coefficient) for key, coefficient in coefficients if coefficient != 0.0]
@@ -312,7 +313,7 @@ def _assemble(params: ModelParams, coefficients) -> SparseOperator:
     cols = np.concatenate([term.col for term, _ in used])
     mat = sp.csr_matrix((data, (rows, cols)), shape=(dim, dim))
     mat.eliminate_zeros()
-    return SparseOperator(params.dims, mat, hermitian=True)
+    return mat
 
 
 def _static_terms(params: ModelParams) -> list:
@@ -322,12 +323,12 @@ def _static_terms(params: ModelParams) -> list:
     return [("a'a", params.omegac), ("Jx(a'+a)", 2.0 * params.g), *flip_flops]
 
 
-def build_H_battery(params: ModelParams) -> SparseOperator:
+def build_H_battery(params: ModelParams) -> sp.csr_matrix:
     """Battery Hamiltonian omega0 * J_z (tensored with the cavity identity)."""
     return _assemble(params, [("Jz", params.omega0)])
 
 
-def build_H_static(params: ModelParams) -> SparseOperator:
+def build_H_static(params: ModelParams) -> sp.csr_matrix:
     """Static part of the charger: cavity + collective coupling + flip-flops.
 
     omega_c a'a + 2g(a'+a)J_x + sum_{i<j} eta_ij (s_i^- s_j^+ + s_j^- s_i^+).
@@ -338,7 +339,7 @@ def build_H_static(params: ModelParams) -> SparseOperator:
     return _assemble(params, _static_terms(params))
 
 
-def drive_operator(params: ModelParams) -> SparseOperator:
+def drive_operator(params: ModelParams) -> sp.csr_matrix:
     """Cavity quadrature a' + a (the drive couples to it)."""
     return _assemble(params, [("a'+a", 1.0)])
 
@@ -355,7 +356,7 @@ def charger_is_on(t: float, params: ModelParams) -> bool:
     return params.T is None or t <= params.T
 
 
-def static_hamiltonian(params: ModelParams) -> SparseOperator:
+def static_hamiltonian(params: ModelParams) -> sp.csr_matrix:
     """Undriven total Hamiltonian H_b + H_static (used by the ground-state solver)."""
     return _assemble(params, [("Jz", params.omega0), *_static_terms(params)])
 

@@ -7,10 +7,9 @@ omega0 sqrt(<J_z^2> - <J_z>^2).  So ``stored_energy`` and
 state and the propagation recorder reads off |x|^2 with the J_z diagonal
 of the space it steps in.  J_z is diagonal in every space, and its
 diagonal comes from the model's bit-built spin terms.  The ground-state
-solver for the (eta, g) phase diagram lives here as well; it solves a
-Hamiltonian with all-real entries, as the model's are, in real symmetric
-arithmetic.  The model builds those Hamiltonians from the Kronecker terms
-it caches per (N, N_ph).
+solver for the (eta, g) phase diagram lives here as well.  It takes the
+Hamiltonian as a matrix, checks once that it is Hermitian and solves it in
+its own dtype: real symmetric for the model's real CSR matrices.
 """
 
 from __future__ import annotations
@@ -21,11 +20,13 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
 
-from dickeqb.errors import ContractError, NumericalError
+from dickeqb.errors import ContractError, DomainError, NumericalError
 from dickeqb.model import full_spin_terms
-from dickeqb.operators import SparseOperator, StateVector
+from dickeqb.operators import HilbertDims, StateVector
 
+HERMITIAN_ATOL = 1e-12
 VARIANCE_FLOOR = -1e-10
 DEGENERACY_GAP = 1e-10
 RESIDUAL_LIMIT = 1e-8
@@ -115,27 +116,49 @@ def _dense_lowest_pair(mat) -> tuple[np.ndarray, np.ndarray]:
     return vals, vecs
 
 
-def ground_state(H_static: SparseOperator) -> GroundStateResult:
-    """Lowest eigenpair of the undriven Hamiltonian.
+def _hermitian_defect(mat) -> float:
+    """Largest |M - M'| entry of a CSR matrix M.
 
-    Dense diagonalization up to DENSE_SOLVER_DIM; above it ARPACK, with a
-    dense fallback (dimensions up to DENSE_FALLBACK_MAX_DIM) when ARPACK
-    does not converge.  A Hamiltonian whose entries are all real, as every
-    one the model builds is, is solved as a real symmetric matrix with a
-    real start vector; one with a nonzero imaginary part stays on the
-    complex Hermitian solve.  The ARPACK start vector is fixed so repeated
-    runs are bitwise reproducible.
+    When M is canonical and M' has its pattern, as for every operator the
+    model builds, the data of the two are compared position by position;
+    the sparse subtraction is the fallback for any other matrix.
+    """
+    adjoint = mat.transpose().tocsr()
+    if (mat.has_canonical_format and np.array_equal(adjoint.indptr, mat.indptr)
+            and np.array_equal(adjoint.indices, mat.indices)):
+        defect = mat.data - adjoint.data.conj()
+    else:
+        defect = (mat - mat.getH()).data
+    return float(np.abs(defect).max()) if len(defect) else 0.0
+
+
+def ground_state(H, dims: HilbertDims) -> GroundStateResult:
+    """Lowest eigenpair of the undriven Hamiltonian ``H``, a 2-D array or
+    sparse matrix on the joint space of ``dims``.
+
+    ``H`` must be Hermitian within HERMITIAN_ATOL (ContractError) and of
+    shape (dims.total_dim, dims.total_dim) (DomainError).  It is solved in
+    its own dtype, integers and single precision promoted to double: the
+    model's real Hamiltonians as real symmetric matrices with a real start
+    vector, a complex Hermitian one on the complex solve.  Dense
+    diagonalization up to DENSE_SOLVER_DIM; above it ARPACK, with a dense
+    fallback (dimensions up to DENSE_FALLBACK_MAX_DIM) when ARPACK does not
+    converge.  The ARPACK start vector is fixed so repeated runs are
+    bitwise reproducible.
     """
     # Imported here: scipy.sparse.linalg would add ~11 ms to every CLI start.
     import scipy.sparse.linalg as spla
 
-    if not H_static.hermitian:
-        raise ContractError("ground_state requires a Hermitian operator")
-    dims = H_static.dims
+    if not (sp.issparse(H) or isinstance(H, np.ndarray)) or H.ndim != 2:
+        raise ContractError(
+            f"ground_state needs a 2-D array or sparse matrix, got {type(H).__name__}")
     n = dims.total_dim
-    mat = H_static.mat
-    if not mat.data.imag.any():
-        mat = mat.real.copy()  # contiguous; .real alone is a strided view
+    if H.shape != (n, n):
+        raise DomainError(f"matrix shape {H.shape} does not match total_dim {n}")
+    mat = sp.csr_matrix(H, dtype=np.result_type(H.dtype, np.float64))
+    worst = _hermitian_defect(mat)
+    if worst > HERMITIAN_ATOL:
+        raise ContractError(f"ground_state needs a Hermitian matrix; it deviates by {worst:.3e}")
 
     vals = vecs = None
     if n > DENSE_SOLVER_DIM:
@@ -154,7 +177,7 @@ def ground_state(H_static: SparseOperator) -> GroundStateResult:
     energy = float(vals[0])
     vec = np.ascontiguousarray(vecs[:, 0])
     vec = vec / np.linalg.norm(vec)
-    residual = float(np.linalg.norm(H_static.mat.dot(vec) - energy * vec))
+    residual = float(np.linalg.norm(mat.dot(vec) - energy * vec))
     if residual > RESIDUAL_LIMIT:
         raise NumericalError(f"ground-state residual {residual:.3e} exceeds {RESIDUAL_LIMIT}")
     gap = float(vals[1] - vals[0]) if len(vals) > 1 else float("inf")

@@ -5,9 +5,10 @@ by Kronecker chains, summed over sites or atom pairs, and tensored with
 the cavity identity, in the joint basis of ``dickeqb.operators``
 (spin_index * boson_dim + photon_number).  The package builds its spin
 terms from the bits of the spin index instead, so agreement between the
-two checks both.  ``step_magnus4`` is one Gauss-Magnus-4 step in the full
-joint space, from the package's stepper; ``pack`` lays block vectors out
-in a stepper's padded grid.
+two checks both.  The operators are complex CSR matrices, apart from the
+real Kronecker-sum references of ``kron_sum_operators``.  ``step_magnus4``
+is one Gauss-Magnus-4 step in the full joint space, from the package's
+stepper; ``pack`` lays block vectors out in a stepper's padded grid.
 """
 
 from functools import lru_cache
@@ -18,7 +19,8 @@ import scipy.sparse as sp
 from dickeqb.dynamics import NORM_DRIFT_LIMIT, _charging_segments, _Stepper
 from dickeqb.errors import ContractError, DomainError, NumericalError
 from dickeqb.model import COUPLING_CUTOFF, dipole_coupling, full_spin_terms
-from dickeqb.operators import SparseOperator, StateVector
+from dickeqb.observables import HERMITIAN_ATOL, _hermitian_defect
+from dickeqb.operators import StateVector
 
 IMAG_RESIDUE_LIMIT = 1e-8
 
@@ -66,22 +68,20 @@ def boson_to_joint(boson_mat, dims) -> sp.csr_matrix:
     return sp.kron(sp.identity(dims.spin_dim, format="csr", dtype=complex), boson_mat, format="csr")
 
 
-def build_pauli(site: int, axis: str, dims) -> SparseOperator:
+def build_pauli(site: int, axis: str, dims) -> sp.csr_matrix:
     """sigma_site^axis acting on one atom, identity elsewhere.
 
-    ``axis`` is one of x, y, z, +, -.  Raising/lowering operators are not
-    Hermitian and are tagged accordingly.
+    ``axis`` is one of x, y, z, +, -; the raising and lowering operators are
+    not Hermitian.
     """
-    mat = spin_to_joint(site_operator(site, axis, dims.n_atoms), dims)
-    return SparseOperator(dims, mat, hermitian=axis in ("x", "y", "z"))
+    return spin_to_joint(site_operator(site, axis, dims.n_atoms), dims)
 
 
-def build_collective_spin(axis: str, dims) -> SparseOperator:
+def build_collective_spin(axis: str, dims) -> sp.csr_matrix:
     """J_axis, tensored with the cavity identity."""
     if axis not in ("x", "y", "z"):
         raise DomainError(f"collective spin axis must be x, y or z, got {axis!r}")
-    return SparseOperator(dims, spin_to_joint(collective_spin(axis, dims.n_atoms), dims),
-                          hermitian=True)
+    return spin_to_joint(collective_spin(axis, dims.n_atoms), dims)
 
 
 def boson_matrix(kind: str, boson_dim: int) -> sp.csr_matrix:
@@ -103,19 +103,19 @@ def boson_matrix(kind: str, boson_dim: int) -> sp.csr_matrix:
     raise DomainError(f"unknown boson operator kind {kind!r}")
 
 
-def build_boson(kind: str, dims) -> SparseOperator:
+def build_boson(kind: str, dims) -> sp.csr_matrix:
     """Cavity operator (annihilate / create / number) on the joint space."""
-    mat = boson_to_joint(boson_matrix(kind, dims.boson_dim), dims)
-    return SparseOperator(dims, mat, hermitian=kind == "number")
+    return boson_to_joint(boson_matrix(kind, dims.boson_dim), dims)
 
 
-def expectation(state: StateVector, op: SparseOperator) -> float:
-    """<psi| op |psi> for a Hermitian operator; the imaginary residue is checked."""
-    if state.dims != op.dims:
+def expectation(state: StateVector, op) -> float:
+    """<psi| op |psi> for a Hermitian sparse matrix ``op``; the imaginary
+    residue is checked."""
+    if op.shape != (state.dims.total_dim,) * 2:
         raise DomainError("state and operator dimensions differ")
-    if not op.hermitian:
-        raise ContractError("expectation requires an operator tagged Hermitian")
-    val = np.vdot(state.amplitudes, op.mat.dot(state.amplitudes))
+    if _hermitian_defect(op) > HERMITIAN_ATOL:
+        raise ContractError("expectation requires a Hermitian operator")
+    val = np.vdot(state.amplitudes, op.dot(state.amplitudes))
     if abs(val.imag) > IMAG_RESIDUE_LIMIT:
         raise NumericalError(f"imaginary residue {val.imag:.3e} in expectation value")
     return float(val.real)
@@ -127,7 +127,7 @@ def partial_trace_spin(state: StateVector) -> np.ndarray:
     Returns a dense (2^N, 2^N) Hermitian matrix with unit trace.  Thanks to
     the spin-major basis ordering this is a single reshaped Gram product.
     """
-    nrm = state.norm()
+    nrm = np.linalg.norm(state.amplitudes)
     if abs(nrm - 1.0) > 1e-8:
         raise ContractError(f"partial trace requires a normalized state, norm={nrm!r}")
     block = state.amplitudes.reshape(state.dims.spin_dim, state.dims.boson_dim)
@@ -157,10 +157,10 @@ def pair_loop_hamiltonians(params):
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             pairs = pairs + dipole_coupling(i, j, params) * flip_flop(i, j, n)
-    quadrature = build_boson("annihilate", dims).mat + build_boson("create", dims).mat
-    h_b = params.omega0 * build_collective_spin("z", dims).mat
-    h_static = (params.omegac * build_boson("number", dims).mat
-                + 2.0 * params.g * build_collective_spin("x", dims).mat @ quadrature
+    quadrature = build_boson("annihilate", dims) + build_boson("create", dims)
+    h_b = params.omega0 * build_collective_spin("z", dims)
+    h_static = (params.omegac * build_boson("number", dims)
+                + 2.0 * params.g * build_collective_spin("x", dims) @ quadrature
                 + spin_to_joint(pairs, dims))
     return h_b, h_static
 
@@ -170,9 +170,9 @@ def pauli_drive_operators(params):
     [H_b + H_static, C] and [a'+a, C], in closed form from
     ``build_collective_spin`` and ``build_boson``, on the joint space."""
     dims, wc = params.dims, params.omegac
-    a = build_boson("annihilate", dims).mat
-    a_dag = build_boson("create", dims).mat
-    jx = build_collective_spin("x", dims).mat
+    a = build_boson("annihilate", dims)
+    a_dag = build_boson("create", dims)
+    jx = build_collective_spin("x", dims)
     ladder = a @ a_dag - a_dag @ a
     return (a + a_dag, wc * (a_dag - a),
             wc**2 * (a + a_dag) + 4.0 * params.g * wc * (jx @ ladder), 2.0 * wc * ladder)
@@ -181,8 +181,9 @@ def pauli_drive_operators(params):
 def kron_sum_operators(params):
     """Reference H_b, H_static, a'+a and H_b + H_static, by name: each a sum
     of coefficient * sp.kron(spin factor, cavity factor) over
-    ``kron_spin_terms`` and ``boson_matrix``, built anew on every call.
-    The sparse sums drop the entries that cancel exactly."""
+    ``kron_spin_terms`` and ``boson_matrix``, built anew on every call, as
+    a real CSR matrix.  The sparse sums drop the entries that cancel
+    exactly."""
     dims = params.dims
     jz, jx, *flip_flops = kron_spin_terms(params.N)
     spin_eye = sp.identity(dims.spin_dim, format="csr")
@@ -199,7 +200,7 @@ def kron_sum_operators(params):
         mat = sp.csr_matrix((dims.total_dim, dims.total_dim))
         for coefficient, spin, cavity in terms:
             mat = mat + coefficient * sp.kron(spin, cavity, format="csr")
-        return sp.csr_matrix(mat, dtype=np.complex128)
+        return mat
 
     return {"H_battery": total(battery), "H_static": total(static),
             "drive": total([(1.0, spin_eye, quadrature)]), "static": total(battery + static)}

@@ -279,7 +279,8 @@ def phase_grid():
     for eta in PHASE_ETAS:
         for g in PHASE_GS:
             params = ModelParams(N=5, g=float(g), eta=float(eta), N_ph=20)
-            rows[(float(eta), float(g))] = ground_state(static_hamiltonian(params)).magnetization
+            result = ground_state(static_hamiltonian(params), params.dims)
+            rows[(float(eta), float(g))] = result.magnetization
     return rows
 
 
@@ -303,8 +304,8 @@ def _weak_coupling_magnetization(eta, g, n_atoms=5):
     Returns (m0 + g^2 c2, c4) for m(g) = m0 + g^2 c2 + g^4 c4 + O(g^6).
     """
     spin = ModelParams(N=n_atoms, eta=eta, N_ph=0, n_init=0)  # g=0, one photon slot
-    vals, vecs = np.linalg.eigh(static_hamiltonian(spin).to_dense())
-    w_spin = 2.0 * build_collective_spin("x", spin.dims).to_dense()
+    vals, vecs = np.linalg.eigh(static_hamiltonian(spin).toarray())
+    w_spin = 2.0 * build_collective_spin("x", spin.dims).toarray()
     excited = np.array([bin(s).count("1") for s in range(spin.dims.spin_dim)])
     m_diag = (excited - n_atoms / 2.0) / (n_atoms / 2.0)
     photons = np.arange(4)[:, None]  # rows of a perturbed state are n = 0..3
@@ -399,12 +400,12 @@ def test_criterion_8c_monotone_departure_along_eta0(phase_grid):
 
 def test_criterion_9_property_suite(tmp_path):
     """Module-invariant spot checks plus byte-identical CLI reruns."""
-    from dickeqb.operators import HilbertDims, SparseOperator, StateVector
+    from dickeqb.operators import HilbertDims, StateVector
 
     # su(2) commutators for N <= 4
     for n_atoms in (1, 2, 3, 4):
         dims = HilbertDims(n_atoms, 0)
-        j = {ax: build_collective_spin(ax, dims).mat for ax in "xyz"}
+        j = {ax: build_collective_spin(ax, dims) for ax in "xyz"}
         for a, b, c in (("x", "y", "z"), ("y", "z", "x"), ("z", "x", "y")):
             worst = np.abs((j[a] @ j[b] - j[b] @ j[a] - 1j * j[c]).toarray()).max()
             assert worst < 1e-12
@@ -413,7 +414,7 @@ def test_criterion_9_property_suite(tmp_path):
     from dickeqb.model import build_H_static
 
     p = ModelParams(N=4, g=0.0, eta=0.9, N_ph=0, n_init=0)
-    h = build_H_static(p).mat
+    h = build_H_static(p)
     sz = spin_to_joint(sum(site_operator(i, "z", 4) for i in range(1, 5)), p.dims)
     comm = h @ sz - sz @ h
     assert (np.abs(comm.data).max() if comm.nnz else 0.0) < 1e-12
@@ -426,8 +427,7 @@ def test_criterion_9_property_suite(tmp_path):
         state = StateVector(dims, amps / np.linalg.norm(amps))
         herm = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
         herm = herm + herm.conj().T
-        joint = SparseOperator(dims, spin_to_joint(herm, dims), hermitian=True)
-        direct = expectation(state, joint)
+        direct = expectation(state, spin_to_joint(herm, dims))
         via = float(np.trace(partial_trace_spin(state) @ herm).real)
         assert abs(direct - via) < 1e-10
 

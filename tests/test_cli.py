@@ -317,7 +317,8 @@ class TestPhaseDiagram:
         header, rows = read_csv(tmp_path / "phase_diagram.csv")
         assert header == ["eta", "g", "magnetization", "gap"]
         assert len(rows) == 1
-        ref = ground_state(static_hamiltonian(ModelParams(N=2, eta=0.4, g=0.3, N_ph=4)))
+        p = ModelParams(N=2, eta=0.4, g=0.3, N_ph=4)
+        ref = ground_state(static_hamiltonian(p), p.dims)
         assert float(rows[0]["magnetization"]) == pytest.approx(ref.magnetization, abs=1e-9)
         assert float(rows[0]["gap"]) == pytest.approx(ref.gap, abs=1e-9)
 
@@ -351,7 +352,8 @@ class TestPhaseDiagram:
         assert cli.main(["phase-diagram", "--config", cfg, "--out", str(tmp_path)]) == 0
         _, rows = read_csv(tmp_path / "phase_diagram.csv")
         assert len(rows) == 1
-        ref = ground_state(static_hamiltonian(ModelParams(N=4, N_ph=2, n_init=0, g=0.5)))
+        p = ModelParams(N=4, N_ph=2, n_init=0, g=0.5)
+        ref = ground_state(static_hamiltonian(p), p.dims)
         assert float(rows[0]["magnetization"]) == pytest.approx(ref.magnetization, abs=1e-9)
 
     def test_dimension_bound(self, tmp_path, capsys, monkeypatch):

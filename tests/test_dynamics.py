@@ -103,7 +103,7 @@ class TestStepMagnus4:
         # without a drive one step is exactly exp(-i H dt) up to Taylor tolerance
         p = ModelParams(N=2, g=0.6, eta=0.4, Omega=0.0, N_ph=3, n_init=1)
         dt = 0.05
-        h = static_hamiltonian(p).to_dense()
+        h = static_hamiltonian(p).toarray()
         psi0 = initial_state(p)
         want = scipy.linalg.expm(-1j * dt * h) @ psi0.amplitudes
         got = step_magnus4(psi0, 0.0, dt, p)
@@ -114,8 +114,8 @@ class TestStepMagnus4:
         p = ModelParams(N=2, g=0.6, eta=0.4, Omega=0.9, omegac=1.3, omegad=0.7,
                         N_ph=3, n_init=1)
         t, dt = 2.0, 0.05
-        h_on = static_hamiltonian(p).to_dense()
-        d = drive_operator(p).to_dense()
+        h_on = static_hamiltonian(p).toarray()
+        d = drive_operator(p).toarray()
         c_a, c_b = (drive_coefficient(t + x * dt, p)
                     for x in (0.5 - np.sqrt(3) / 6, 0.5 + np.sqrt(3) / 6))
         exponent = (-1j * dt * (h_on + 0.5 * (c_a + c_b) * d)
@@ -340,7 +340,7 @@ def _full_space_run(batch, cfg):
             P_b=np.array([charging_power(e, t) for e, t in zip(energies, times)]),
             dE_b=np.array([energy_fluctuation(m, moments[0], p) for m in moments]),
             Jz_mean=np.array([m.mean for m in moments]),
-            norms=np.array([state.norm() for state in states]),
+            norms=np.array([np.linalg.norm(state.amplitudes) for state in states]),
             params=p,
             final_state=states[-1],
             edge_population=max(float(np.vdot(top, top).real) for top in tops),
@@ -424,8 +424,8 @@ class TestStepperBuffer:
 
 def _dense_exponents(p, t, h):
     """Dense Gauss-Magnus-4 and -6 exponents (Blanes et al. 2009) of one step."""
-    h_on = static_hamiltonian(p).to_dense()
-    d = drive_operator(p).to_dense()
+    h_on = static_hamiltonian(p).toarray()
+    d = drive_operator(p).toarray()
 
     def gen(x):
         return -1j * (h_on + drive_coefficient(t + x * h, p) * d)
@@ -447,7 +447,7 @@ def _dense_exponents(p, t, h):
 
 def _state_at(p, t):
     """A generic state: the initial state evolved under H_on for time t."""
-    h_on = static_hamiltonian(p).to_dense()
+    h_on = static_hamiltonian(p).toarray()
     return scipy.linalg.expm(-1j * t * h_on) @ initial_state(p).amplitudes
 
 
@@ -717,8 +717,8 @@ def _assembled(p, space):
     """H_on, a'+a, C = [H_on, a'+a] and the nested commutators [H_on, C] and
     [a'+a, C]: sparse matrix products of the full-space builders, restricted
     to ``space``."""
-    h_on = build_H_battery(p).mat + build_H_static(p).mat
-    drive = drive_operator(p).mat
+    h_on = build_H_battery(p) + build_H_static(p)
+    drive = drive_operator(p)
     comm = h_on @ drive - drive @ h_on
     full = (h_on, drive, comm, h_on @ comm - comm @ h_on, drive @ comm - comm @ drive)
     return tuple(_restrict(p, space, mat) for mat in full)
@@ -825,8 +825,8 @@ class TestStepperInternals:
         h_b = p.omega0 * scipy.sparse.kron(space(p.N).jz, eye, format="csr")
         drive = scipy.sparse.kron(eye_s, a + a_dag)
         if space is full_spin_terms:
-            assert np.array_equal(h_b.toarray(), build_H_battery(p).to_dense())
-            assert np.array_equal(drive.toarray(), drive_operator(p).to_dense())
+            assert np.array_equal(h_b.toarray(), build_H_battery(p).toarray())
+            assert np.array_equal(drive.toarray(), drive_operator(p).toarray())
         # H_b is diagonal and enters the stepper as its diagonal alone, and
         # the Fock weights are the entries of a'+a
         assert h_b.count_nonzero() == np.count_nonzero(h_b.diagonal())
@@ -837,7 +837,7 @@ class TestStepperInternals:
         jx, flips = stepper.spin_stack[:spin_dim], stepper.spin_stack[spin_dim:]
         h_on = (scipy.sparse.diags(stepper.diag_on) + scipy.sparse.kron(flips, eye)
                 + scipy.sparse.kron(jx, eye) @ (lower + lower.T))
-        want = _restrict(p, space, build_H_battery(p).mat + build_H_static(p).mat).toarray()
+        want = _restrict(p, space, build_H_battery(p) + build_H_static(p)).toarray()
         assert np.abs(h_on.toarray() - want).max() <= 1e-15 * np.abs(want).max()
 
     def test_entries_off_the_positions_raise(self):
@@ -865,7 +865,7 @@ class TestStepperInternals:
         amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         amps /= np.linalg.norm(amps)
         h = 0.37
-        h_b = _restrict(p, space, build_H_battery(p).mat).toarray()
+        h_b = _restrict(p, space, build_H_battery(p)).toarray()
         want = scipy.linalg.expm(-1j * h * h_b) @ amps
         assert np.abs(stepper.step(amps, 2.0, h, False) - want).max() <= 1e-14
 

@@ -21,7 +21,7 @@ from dickeqb.model import (
     static_hamiltonian,
     _kron_terms,
 )
-from dickeqb.operators import SparseOperator, StateVector
+from dickeqb.operators import StateVector
 from reference import (
     build_boson,
     build_collective_spin,
@@ -145,7 +145,7 @@ class TestBatteryHamiltonian:
 
     def test_spectrum_two_atoms(self):
         p = ModelParams(N=2, N_ph=0, n_init=0)
-        vals = np.sort(np.linalg.eigvalsh(build_H_battery(p).to_dense()))
+        vals = np.sort(np.linalg.eigvalsh(build_H_battery(p).toarray()))
         assert np.allclose(vals, [-1, 0, 0, 1], atol=1e-12)
 
 
@@ -155,11 +155,11 @@ class TestChargerHamiltonian:
         h = build_H_static(p)
         for n in (0, 2, 5):
             idx = n  # spin block 0
-            assert h.entry(idx, idx) == pytest.approx(0.9 * n, abs=1e-12)
+            assert h[idx, idx] == pytest.approx(0.9 * n, abs=1e-12)
 
     def test_flip_flop_conserves_excitation(self):
         p = ModelParams(N=4, g=0.0, eta=0.9, N_ph=0, n_init=0)
-        h = build_H_static(p).mat
+        h = build_H_static(p)
         sz_total = sum(site_operator(i, "z", 4) for i in range(1, 5))
         sz = spin_to_joint(sz_total, p.dims)
         comm = (h @ sz - sz @ h)
@@ -172,21 +172,21 @@ class TestChargerHamiltonian:
         h = build_H_static(p)
         eg = 2  # spin index 0b10: site 1 excited
         ge = 1  # spin index 0b01: site 2 excited
-        assert h.entry(eg, ge) == pytest.approx(0.5, abs=1e-14)
+        assert h[eg, ge] == pytest.approx(0.5, abs=1e-14)
 
     def test_reduces_to_dicke_form(self):
         # eta = 0, Omega = 0: entrywise equal to w0 Jz + wc a'a + 2g(a'+a)Jx
         p = ModelParams(N=3, g=0.7, eta=0.0, Omega=0.0, omegac=1.1, N_ph=4)
-        h = static_hamiltonian(p).to_dense()
-        jz = build_collective_spin("z", p.dims).to_dense()
-        jx = build_collective_spin("x", p.dims).to_dense()
-        a = build_boson("annihilate", p.dims).to_dense()
+        h = static_hamiltonian(p).toarray()
+        jz = build_collective_spin("z", p.dims).toarray()
+        jx = build_collective_spin("x", p.dims).toarray()
+        a = build_boson("annihilate", p.dims).toarray()
         ref = 1.0 * jz + 1.1 * (a.conj().T @ a) + 2 * 0.7 * (a.conj().T + a) @ jx
         assert np.abs(h - ref).max() < 1e-12
 
 
 def max_deviation(op, ref):
-    diff = (op.mat - ref).tocsr()
+    diff = (op - ref).tocsr()
     return np.abs(diff.data).max() if diff.nnz else 0.0
 
 
@@ -273,7 +273,7 @@ class TestTermTable:
     def test_operators_share_no_array_with_the_table(self):
         p = ModelParams(N=3, g=0.6, eta=-0.4, N_ph=2, n_init=0)
         spin = full_spin_terms(p.N)
-        mat = build_H_static(p).mat
+        mat = build_H_static(p)
         cached = [a for term in _kron_terms(p.N, p.photon_cutoff).values()
                   for a in (term.data, term.row, term.col)]
         cached += [a for f in (spin.jz, spin.jx, *spin.flip_flops)
@@ -285,12 +285,12 @@ class TestTermTable:
         # an array shared with the cache and edited in place would corrupt
         # every later build
         p = ModelParams(N=4, g=0.5, eta=0.3, N_ph=3, n_init=0)
-        want = build_H_static(p).mat.copy()
-        edited = build_H_static(p).mat
+        want = build_H_static(p).copy()
+        edited = build_H_static(p)
         edited.data *= 2
         edited.data[::3] = 0.0
         edited.eliminate_zeros()
-        got = build_H_static(p).mat
+        got = build_H_static(p)
         assert np.array_equal(got.indptr, want.indptr)
         assert np.array_equal(got.indices, want.indices)
         assert np.array_equal(got.data, want.data)
@@ -301,27 +301,41 @@ class TestAgainstKronSums:
                 "drive": drive_operator, "static": static_hamiltonian}
 
     def check(self, p):
+        # every builder's matrix is real, canonical CSR (sorted rows, no
+        # duplicate or stored zero, as a dense round trip gives) and exactly
+        # its own transpose, and equals the Kronecker-sum reference
         want = kron_sum_operators(p)
         for name, build in self.BUILDERS.items():
-            got = build(p).mat
-            for attr in ("indptr", "indices", "data"):
-                arr, ref_arr = getattr(got, attr), getattr(want[name], attr)
-                assert arr.dtype == ref_arr.dtype, (name, attr)
-                assert np.array_equal(arr, ref_arr), (name, attr)
+            got = build(p)
+            assert isinstance(got, sp.csr_matrix) and got.dtype == np.float64, name
+            for ref in (want[name], sp.csr_matrix(got.toarray()), got.T.tocsr()):
+                for attr in ("indptr", "indices", "data"):
+                    arr, ref_arr = getattr(got, attr), getattr(ref, attr)
+                    assert arr.dtype == ref_arr.dtype, (name, attr)
+                    assert np.array_equal(arr, ref_arr), (name, attr)
         return want
 
+    @staticmethod
+    def params(n_atoms, cutoff, **mode):
+        n_ph = n_atoms * int(cutoff[:-1]) if cutoff.endswith("N") else int(cutoff)
+        return ModelParams(N=n_atoms, g=0.37, omega0=1.3, omegac=0.9, N_ph=n_ph, n_init=0,
+                           **mode)
+
     @pytest.mark.parametrize("n_atoms", range(1, 7))
-    @pytest.mark.parametrize("cutoff", ["0", "1", "3", "2N"])
+    @pytest.mark.parametrize("cutoff", ["0", "1", "3", "2N", "4N"])
     def test_operators_equal_kron_sums(self, n_atoms, cutoff):
-        n_ph = 2 * n_atoms if cutoff == "2N" else int(cutoff)
-        self.check(ModelParams(N=n_atoms, g=0.37, eta=-0.41, omega0=1.3, omegac=0.9,
-                               N_ph=n_ph, n_init=0))
+        self.check(self.params(n_atoms, cutoff, eta=-0.41))
+
+    @pytest.mark.parametrize("n_atoms", range(1, 7))
+    @pytest.mark.parametrize("cutoff", ["0", "4N"])
+    def test_geometric_operators_equal_kron_sums(self, n_atoms, cutoff):
+        self.check(self.params(n_atoms, cutoff, **REFERENCE_CASES[1]))
 
     def test_exact_cancellation_is_dropped(self):
         # omega0 J_z + omega_c n is -1 + 1 = 0 at |gg>|1>, joint index 1
         p = ModelParams(N=2, g=0.5, eta=0.2, N_ph=3, n_init=0)
         want = self.check(p)
-        for mat in (want["static"], static_hamiltonian(p).mat):
+        for mat in (want["static"], static_hamiltonian(p)):
             assert 1 not in mat.indices[mat.indptr[1]:mat.indptr[2]]
 
 
@@ -341,7 +355,7 @@ class TestSiteReflection:
         p = ModelParams(N=n_atoms, g=0.4, omega0=1.3, omegac=0.9, N_ph=3, n_init=0, **mode)
         r = sp.kron(site_reflection(n_atoms), sp.identity(p.dims.boson_dim), format="csr")
         for op in (build_H_battery(p), build_H_static(p), drive_operator(p)):
-            defect = r @ op.mat - op.mat @ r
+            defect = r @ op - op @ r
             assert (abs(defect).max() if defect.nnz else 0.0) <= 1e-14
 
     @pytest.mark.parametrize("n_atoms", range(1, 8))
@@ -372,7 +386,7 @@ class TestSiteReflection:
                   sp.kron(eye_s, a + a.T))
         basis = sp.kron(v, eye_b, format="csr")
         for mat, build in zip(sector, (build_H_battery, build_H_static, drive_operator)):
-            assert abs(mat - basis.T @ build(p).mat @ basis).max() <= 1e-14
+            assert abs(mat - basis.T @ build(p) @ basis).max() <= 1e-14
 
     @pytest.mark.parametrize("n_atoms", range(1, 8))
     def test_isometry_onto_even_sector(self, n_atoms):
@@ -404,8 +418,8 @@ class TestDrive:
 
     def test_drive_operator_is_quadrature(self):
         p = ModelParams(N=1, N_ph=3)
-        d = drive_operator(p).to_dense()
-        a = build_boson("annihilate", p.dims).to_dense()
+        d = drive_operator(p).toarray()
+        a = build_boson("annihilate", p.dims).toarray()
         assert np.abs(d - (a + a.conj().T)).max() < 1e-14
 
     @pytest.mark.parametrize(
@@ -420,8 +434,8 @@ class TestDrive:
     def test_commutator_matches_numerical(self, kwargs):
         # the closed form C = omega_c (a'-a) the stepper applies
         p = ModelParams(**kwargs)
-        h_on = static_hamiltonian(p).to_dense()
-        d = drive_operator(p).to_dense()
+        h_on = static_hamiltonian(p).toarray()
+        d = drive_operator(p).toarray()
         c = pauli_drive_operators(p)[1].toarray()
         assert np.abs(c - (h_on @ d - d @ h_on)).max() < 1e-12
 
@@ -437,8 +451,8 @@ class TestDrive:
     def test_nested_commutators_match_numerical(self, kwargs):
         # the truncated [a, a'] = diag(1, ..., 1, -N_ph) enters both exactly
         p = ModelParams(**kwargs)
-        h_on = static_hamiltonian(p).to_dense()
-        d = drive_operator(p).to_dense()
+        h_on = static_hamiltonian(p).toarray()
+        d = drive_operator(p).toarray()
         c, with_static, with_drive = (mat.toarray() for mat in pauli_drive_operators(p)[1:])
         assert np.abs(with_static - (h_on @ c - c @ h_on)).max() < 1e-12
         assert np.abs(with_drive - (d @ c - c @ d)).max() < 1e-12
@@ -457,17 +471,17 @@ class TestSwitchedHamiltonian:
     def test_hermitian_at_random_times(self, t):
         # H(t) = H_b + H_static + c(t) (a'+a), as the oracle integrates it
         p = ModelParams(N=2, g=0.6, eta=-0.4, Omega=0.8, N_ph=3)
-        static = static_hamiltonian(p).mat
-        drive = drive_coefficient(t, p) * drive_operator(p).mat
-        h = SparseOperator(p.dims, static + drive, hermitian=True)
-        assert h.hermitian  # construction verifies entrywise to 1e-12
+        static = static_hamiltonian(p)
+        drive = drive_coefficient(t, p) * drive_operator(p)
+        h = static + drive
+        assert abs(h - h.T).max() == 0.0
         # the drive sits where H_b + H_static has no entry
         assert abs(static).multiply(abs(drive)).count_nonzero() == 0
 
     def test_static_hamiltonian_includes_battery(self):
         p = ModelParams(N=2, g=0.5, eta=0.2, N_ph=2)
-        full = static_hamiltonian(p).to_dense()
-        parts = build_H_battery(p).to_dense() + build_H_static(p).to_dense()
+        full = static_hamiltonian(p).toarray()
+        parts = build_H_battery(p).toarray() + build_H_static(p).toarray()
         assert np.abs(full - parts).max() == 0.0
 
 

@@ -3,7 +3,8 @@ import pytest
 
 from dickeqb.errors import ContractError, DomainError
 from dickeqb.model import even_spin_terms, full_spin_terms
-from dickeqb.operators import HilbertDims, SparseOperator, StateVector
+from dickeqb.observables import ground_state
+from dickeqb.operators import HilbertDims, StateVector
 from reference import (
     build_boson,
     build_collective_spin,
@@ -54,19 +55,19 @@ class TestPauli:
     def test_sigma_z_single_site(self):
         dims = HilbertDims(1, 0)
         sz = build_pauli(1, "z", dims)
-        assert sz.entry(0, 0) == -1  # |g>
-        assert sz.entry(1, 1) == +1  # |e>
+        assert sz[0, 0] == -1  # |g>
+        assert sz[1, 1] == +1  # |e>
 
     def test_sigma_zz_on_gg(self):
         dims = HilbertDims(2, 0)
         z1 = build_pauli(1, "z", dims)
         z2 = build_pauli(2, "z", dims)
-        prod = (z1.mat @ z2.mat).toarray()
+        prod = (z1 @ z2).toarray()
         assert prod[0, 0] == pytest.approx(1.0)  # (-1)*(-1) on |gg>
 
     def test_ladder_action(self):
         dims = HilbertDims(1, 0)
-        sp = build_pauli(1, "+", dims).mat.toarray()
+        sp = build_pauli(1, "+", dims).toarray()
         g = np.array([1, 0])
         e = np.array([0, 1])
         assert np.allclose(sp @ g, e)
@@ -88,21 +89,21 @@ class TestPauli:
         eye = np.eye(dims.total_dim)
         for site in (1, 2):
             for axis in "xyz":
-                m = build_pauli(site, axis, dims).mat
+                m = build_pauli(site, axis, dims)
                 assert np.allclose((m @ m).toarray(), eye, atol=1e-14)
 
     def test_ladder_from_xy(self):
         # sigma^+ = (sigma^x + i sigma^y)/2 entrywise
         dims = HilbertDims(3, 0)
         for site in (1, 2, 3):
-            sx = build_pauli(site, "x", dims).mat
-            sy = build_pauli(site, "y", dims).mat
-            sp = build_pauli(site, "+", dims).mat
+            sx = build_pauli(site, "x", dims)
+            sy = build_pauli(site, "y", dims)
+            sp = build_pauli(site, "+", dims)
             assert abs((0.5 * (sx + 1j * sy) - sp)).max() < 1e-14
 
     def test_acts_only_on_its_site(self):
         dims = HilbertDims(2, 0)
-        x1 = build_pauli(1, "x", dims).mat.toarray()
+        x1 = build_pauli(1, "x", dims).toarray()
         expected = np.kron(np.array([[0, 1], [1, 0]]), np.eye(2))
         assert np.allclose(x1, expected)
 
@@ -110,22 +111,22 @@ class TestPauli:
 class TestCollectiveSpin:
     def test_jz_spectrum_two_atoms(self):
         dims = HilbertDims(2, 0)
-        jz = build_collective_spin("z", dims).to_dense()
+        jz = build_collective_spin("z", dims).toarray()
         vals = np.sort(np.linalg.eigvalsh(jz))
         assert np.allclose(vals, [-1, 0, 0, 1], atol=1e-12)
 
     @pytest.mark.parametrize("n_atoms", [1, 2, 3, 4])
     def test_su2_commutators(self, n_atoms):
         dims = HilbertDims(n_atoms, 0)
-        j = {ax: build_collective_spin(ax, dims).mat for ax in "xyz"}
+        j = {ax: build_collective_spin(ax, dims) for ax in "xyz"}
         for a, b, c in (("x", "y", "z"), ("y", "z", "x"), ("z", "x", "y")):
             comm = (j[a] @ j[b] - j[b] @ j[a] - 1j * j[c]).toarray()
             assert np.abs(comm).max() < 1e-12
 
     def test_single_atom_is_half_pauli(self):
         dims = HilbertDims(1, 2)
-        jx = build_collective_spin("x", dims).mat
-        sx = build_pauli(1, "x", dims).mat
+        jx = build_collective_spin("x", dims)
+        sx = build_pauli(1, "x", dims)
         assert abs(jx - 0.5 * sx).max() < 1e-15
 
     def test_invalid_axis(self):
@@ -138,7 +139,7 @@ class TestBoson:
         dims = HilbertDims(1, 3)
         a = build_boson("annihilate", dims)
         vac = basis_state(dims, 0, 0)
-        assert np.linalg.norm(a.mat @ vac.amplitudes) == 0.0
+        assert np.linalg.norm(a @ vac.amplitudes) == 0.0
 
     def test_number_eigenvalue(self):
         dims = HilbertDims(1, 4)
@@ -152,9 +153,9 @@ class TestBoson:
         top = basis_state(dims, 0, 5)
         below = basis_state(dims, 0, 4)
         # <N_ph| a' |N_ph - 1> = sqrt(N_ph), and a' kills the top state
-        amp = np.vdot(top.amplitudes, adag.mat @ below.amplitudes)
+        amp = np.vdot(top.amplitudes, adag @ below.amplitudes)
         assert amp == pytest.approx(np.sqrt(5), abs=1e-12)
-        assert np.linalg.norm(adag.mat @ top.amplitudes) == 0.0
+        assert np.linalg.norm(adag @ top.amplitudes) == 0.0
 
     def test_unknown_kind(self):
         with pytest.raises(DomainError):
@@ -231,18 +232,19 @@ class TestPartialTrace:
         rng = np.random.default_rng(seed + 100)
         herm = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         herm = herm + herm.conj().T
-        joint = SparseOperator(dims, spin_to_joint(herm, dims), hermitian=True)
-        direct = expectation(state, joint)
+        direct = expectation(state, spin_to_joint(herm, dims))
         via_trace = np.trace(rho @ herm).real
         assert direct == pytest.approx(via_trace, abs=1e-10)
 
 
 class TestContainers:
+    # A matrix enters the public API through ground_state, which checks it
+    # is Hermitian within HERMITIAN_ATOL and of the joint space's shape.
     def test_hermitian_flag_verified(self):
         dims = HilbertDims(1, 0)
         bad = np.array([[0, 1], [0, 0]], dtype=complex)
         with pytest.raises(ContractError):
-            SparseOperator(dims, bad, hermitian=True)
+            ground_state(bad, dims)
 
     @staticmethod
     def _defective(defect):
@@ -259,10 +261,10 @@ class TestContainers:
     def test_hermitian_tolerance(self, defect, rejected):
         dims = HilbertDims(1, 2)  # 6 x 6
         if rejected:
-            with pytest.raises(ContractError, match="operator tagged Hermitian deviates by 2.000e-12"):
-                SparseOperator(dims, self._defective(defect), hermitian=True)
+            with pytest.raises(ContractError, match="Hermitian matrix; it deviates by 2.000e-12"):
+                ground_state(self._defective(defect), dims)
         else:
-            assert SparseOperator(dims, self._defective(defect), hermitian=True).hermitian
+            assert ground_state(self._defective(defect), dims).state.dims == dims
 
     def test_hermitian_check_with_asymmetric_pattern(self):
         # an entry whose mirror is not stored is a defect of its own size
@@ -270,9 +272,9 @@ class TestContainers:
         mat = self._defective(0.0)
         mat[0, 5] = 1e-11
         with pytest.raises(ContractError, match="deviates by 1.000e-11"):
-            SparseOperator(dims, mat, hermitian=True)
+            ground_state(mat, dims)
         mat[0, 5] = 1e-13
-        assert SparseOperator(dims, mat, hermitian=True).hermitian
+        assert ground_state(mat, dims).state.dims == dims
 
     def test_state_norm_checked(self):
         dims = HilbertDims(1, 0)
@@ -281,7 +283,7 @@ class TestContainers:
 
     def test_operator_shape_checked(self):
         with pytest.raises(DomainError, match="does not match total_dim 6"):
-            SparseOperator(HilbertDims(1, 2), np.eye(8))
+            ground_state(np.eye(8), HilbertDims(1, 2))
 
     def test_state_length_checked(self):
         with pytest.raises(DomainError):
@@ -289,8 +291,8 @@ class TestContainers:
 
     def test_builders_deterministic(self):
         dims = HilbertDims(3, 4)
-        a = build_collective_spin("x", dims).mat
-        b = build_collective_spin("x", dims).mat
+        a = build_collective_spin("x", dims)
+        b = build_collective_spin("x", dims)
         assert np.array_equal(a.indptr, b.indptr)
         assert np.array_equal(a.indices, b.indices)
         assert np.array_equal(a.data, b.data)
