@@ -155,7 +155,11 @@ def _value_list(cfg: dict, key: str, default) -> list:
         raw = [raw]
     if not raw:
         raise ConfigError(f"key {key!r} must not be an empty list")
-    return sorted(_number(key, v) for v in raw)
+    values = sorted(_number(key, v) for v in raw)
+    for a, b in zip(values, values[1:]):
+        if a == b:
+            raise ConfigError(f"key {key!r} repeats the value {json.dumps(b)}")
+    return values
 
 
 def _out_dir(args) -> Path:

@@ -42,11 +42,11 @@ half the dimension of the full space at N >= 5, with the same step plan.
 The observables are J_z moments, which the sector gives exactly: J_z has
 the same value on both states of a mirror pair, so V' J_z^k V is the
 sector's diagonal J_z to the k-th power.  Each sample is therefore
-recorded in the sector, from |x|^2 and the sector's J_z diagonal (see
-``_Recorder``), and only the final state is lifted to the full joint
-basis.  Built with ``model.full_spin_terms``, the stepper acts on the
-full space instead, exact on any state; the tests check the sector
-against it.
+recorded in the sector, from |x|^2 and the ``jz`` diagonal of the sector
+spin terms (see ``_Recorder``), and only the final state is lifted to the
+full joint basis, by P.  Built with ``model.full_spin_terms``, the stepper
+acts on the full space instead, exact on any state; the tests check the
+sector against it.
 
 ``propagate`` also takes a batch: parameter sets that share the time
 dependence (Omega, omegad and T), such as the N = 1..6 points of a sweep
@@ -99,6 +99,7 @@ from dickeqb.model import (
     even_spin_terms,
     full_spin_terms,
     initial_state,
+    reflection_isometry,
 )
 from dickeqb.operators import StateVector, require_int
 
@@ -187,14 +188,6 @@ class Trajectory:
             fh.write("t,E_b,P_b,dE_b,Jz_mean,norm\n")
             for row in zip(*columns):
                 fh.write(",".join("%.12g" % x for x in row) + "\n")
-
-
-def _diagonal(mat) -> np.ndarray:
-    """The diagonal of a sparse matrix that must have no nonzero entry off it."""
-    coo = mat.tocoo()
-    if np.count_nonzero(coo.data[coo.row != coo.col]):
-        raise AssertionError("operator entries outside the positions read")
-    return mat.diagonal()
 
 
 class CsrExpm:
@@ -294,7 +287,7 @@ def _block_factors(p: ModelParams, spin, width: int) -> _BlockFactors:
     boson_dim = p.dims.boson_dim
     fock = np.arange(width)
     inside = fock < boson_dim
-    height = spin.jz.shape[0]
+    height = len(spin.jz)
 
     def combination(pairs):
         mats = [coefficient * mat for coefficient, mat in pairs if coefficient != 0.0]
@@ -303,7 +296,7 @@ def _block_factors(p: ModelParams, spin, width: int) -> _BlockFactors:
     jx = combination([(2.0 * p.g, spin.jx)])
     flips = combination([(dipole_coupling(1, 1 + d, p), f_d)
                          for d, f_d in enumerate(spin.flip_flops, start=1)])
-    h_b = p.omega0 * _diagonal(spin.jz)
+    h_b = p.omega0 * spin.jz
     weights = np.where(fock < boson_dim - 1, np.sqrt(fock + 1.0), 0.0)
     # [a, a'] = diag(1, ..., 1, -N_ph)
     commutator = np.where(fock < boson_dim - 1, 1.0, np.where(inside, -float(p.photon_cutoff), 0.0))
@@ -588,16 +581,18 @@ class _Recorder:
     """Accumulates the sampled observable series of a batch's runs from the
     J_z moments of each sample.
 
-    A sample has the stepper's layout in the space ``space`` builds: block
-    k is an (S_k, ``width``) grid of spin rows x Fock levels, the blocks
-    stacked in batch order, and the levels above a block's own N_ph are
-    zero; a joint state in the full space is a batch of one with width
-    N_ph + 1.  One product of ``moment_rows`` with |x|^2, viewed as a real
-    (spin, 2 width) grid, sums |x|^2, J_z |x|^2 and J_z^2 |x|^2 over each
-    block's spin rows, per Fock level; ``fock_columns`` then sums those over
-    every level, and picks the top level |N_ph> for the edge population.
-    That is exact in the reflection-even sector too: J_z is diagonal there,
-    with the value it has on both states of a mirror pair.  dE_b's
+    ``jzs`` holds each block's J_z diagonal, the ``jz`` of the spin terms
+    it is stepped with.  A sample has the stepper's layout: block k is an
+    (S_k, ``width``) grid of spin rows x Fock levels, S_k = len(jzs[k]),
+    the blocks stacked in batch order, and the levels above a block's own
+    N_ph are zero; a joint state in the full space is a batch of one with
+    width N_ph + 1.  One product of ``moment_rows`` with |x|^2, viewed as a
+    real (spin, 2 width) grid, sums |x|^2, J_z |x|^2 and J_z^2 |x|^2 over
+    each block's spin rows, per Fock level; ``fock_columns`` then sums those
+    over every level, and picks the top level |N_ph> for the edge
+    population.  That is exact in the reflection-even sector too: J_z is
+    diagonal there, with the value it has on both states of a mirror pair.
+    ``build`` takes each block's final state on the full joint basis.  dE_b's
     variances come from the moments divided by the block's population, so a
     norm drift inside NORM_DRIFT_LIMIT does not drive the variance of a
     near-eigenstate of J_z below VARIANCE_FLOOR; E_b and Jz_mean take the
@@ -605,10 +600,8 @@ class _Recorder:
     dE_b is measured from, are taken once.
     """
 
-    def __init__(self, batch, space, width: int, amps0: np.ndarray):
+    def __init__(self, batch, jzs, width: int, amps0: np.ndarray):
         self.batch = batch
-        self.spins = [space(p.N) for p in batch]
-        jzs = [_diagonal(spin.jz) for spin in self.spins]
         self.height = sum(len(jz) for jz in jzs)
         # Row q * count + k sums block k's q-th moment: its population, <J_z>,
         # <J_z^2> and top-level population.
@@ -656,13 +649,13 @@ class _Recorder:
                                     means[k], norms[k]))
             self.edge_population[k] = max(self.edge_population[k], tops[k])
 
-    def build(self, parts, steps: int = 0, step_errors=None) -> list:
-        """One Trajectory per block, with ``parts`` the last sample's block
-        amplitudes in their own coordinates, lifted to the full joint basis."""
+    def build(self, finals, steps: int = 0, step_errors=None) -> list:
+        """One Trajectory per block, with ``finals`` each block's final
+        amplitudes on the full joint basis."""
         step_errors = [0.0] * len(self.batch) if step_errors is None else step_errors
         trajectories = []
-        for p, spin, samples, part, edge, error in zip(
-                self.batch, self.spins, self.samples, parts, self.edge_population, step_errors):
+        for p, samples, final, edge, error in zip(
+                self.batch, self.samples, finals, self.edge_population, step_errors):
             E_b, P_b, dE_b, jz_mean, norms = (np.array(column) for column in zip(*samples))
             trajectories.append(Trajectory(
                 times=np.asarray(self.times),
@@ -672,7 +665,7 @@ class _Recorder:
                 Jz_mean=jz_mean,
                 norms=norms,
                 params=p,
-                final_state=StateVector(p.dims, spin.lift(part), norm_atol=2 * NORM_DRIFT_LIMIT),
+                final_state=StateVector(p.dims, final, norm_atol=2 * NORM_DRIFT_LIMIT),
                 edge_population=edge,
                 steps=steps,
                 step_error=float(error),
@@ -717,7 +710,7 @@ def _magnus4_batch(batch, cfg: PropagationConfig) -> list:
     amps = np.zeros(stepper.blocks[-1].stop, dtype=np.complex128)
     for block, p in zip(stepper.blocks, batch):
         amps[block.start + p.initial_photons] = 1.0
-    recorder = _Recorder(batch, even_spin_terms, stepper.width, amps)
+    recorder = _Recorder(batch, [even_spin_terms(p.N).jz for p in batch], stepper.width, amps)
     recorder.record(0.0, amps)
     steps, step_errors = 0, np.zeros(len(batch))
     for t1, pieces in _sample_intervals(cfg, batch[0]):
@@ -726,7 +719,10 @@ def _magnus4_batch(batch, cfg: PropagationConfig) -> list:
             steps += n
             step_errors += errors
         recorder.record(t1, amps)
-    return recorder.build(stepper.unpack(amps), steps=steps, step_errors=step_errors)
+    # Each block's final sector state, lifted to the full joint basis.
+    finals = [(reflection_isometry(p.N) @ part.reshape(-1, p.dims.boson_dim)).ravel()
+              for p, part in zip(batch, stepper.unpack(amps))]
+    return recorder.build(finals, steps=steps, step_errors=step_errors)
 
 
 def oracle_propagate(params: ModelParams, cfg: PropagationConfig | None = None) -> Trajectory:
@@ -755,7 +751,7 @@ def oracle_propagate(params: ModelParams, cfg: PropagationConfig | None = None) 
         return -1j * (h_off @ y)
 
     amps = initial_state(params).amplitudes
-    recorder = _Recorder((params,), full_spin_terms, params.dims.boson_dim, amps)
+    recorder = _Recorder((params,), [full_spin_terms(params.N).jz], params.dims.boson_dim, amps)
     recorder.record(0.0, amps)
     for t1, pieces in _sample_intervals(cfg, params):
         for a, length, on in pieces:

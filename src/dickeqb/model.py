@@ -16,10 +16,11 @@ flips of unequal pair bits for F_d.  Each term's Kronecker product is
 built once per (N, N_ph) and cached read-only, so repeated assemblies at
 one (N, N_ph), such as a phase diagram's points, build no Kronecker
 product; an operator is its terms' scaled entries, summed into a new real
-CSR matrix in canonical form, symmetric by construction.  A spin
-space is the cached builder N -> SpinTerms of its spin factors:
-``full_spin_terms``, or ``even_spin_terms`` for the reflection-even
-sector, which has no assembled operator.
+CSR matrix in canonical form, symmetric by construction.  A spin space is
+the cached builder N -> SpinTerms of its three spin factors, J_z as its
+diagonal: ``full_spin_terms``, or ``even_spin_terms`` for the
+reflection-even sector, which has no assembled operator; a sector state
+goes back to the full basis through ``reflection_isometry``.
 """
 
 from __future__ import annotations
@@ -91,6 +92,10 @@ class ModelParams:
             raise DomainError(f"N must be >= 1, got {self.N}")
         if self.omega0 <= 0 or self.omegac <= 0:
             raise DomainError("omega0 and omegac must be positive")
+        if self.R <= 0 or self.c_light <= 0:
+            raise DomainError(
+                f"R and c_light must be positive, got R={self.R} c_light={self.c_light}"
+            )
         if self.photon_cutoff < 0:
             raise DomainError(f"N_ph must be >= 0, got {self.N_ph}")
         if not 0 <= self.initial_photons <= self.photon_cutoff:
@@ -146,24 +151,16 @@ class SpinTerms(NamedTuple):
     """Real spin-space parts of the Hamiltonians, for one atom count N, in
     one space: everything a stepper or a recorder needs to know of it.
 
-    ``isometry`` maps the space's spin coordinates onto the full spin basis:
-    the identity in the full space, ``reflection_isometry`` in the even
-    sector.  Every space puts |g...g> at spin index 0, and J_z is diagonal
-    in every space.
+    J_z is diagonal in every space, so ``jz`` is its diagonal, a 1-D float64
+    array; ``jx`` and the flip-flop sums are CSR matrices.  Every space puts
+    |g...g> at spin index 0.  All arrays are shared and read-only.
     """
 
-    jz: sp.csr_matrix
+    jz: np.ndarray
     jx: sp.csr_matrix
     # flip_flops[d - 1] = sum_{|i-j|=d} (s_i^- s_j^+ + s_j^- s_i^+), d = 1..
     # min(COUPLING_CUTOFF, N-1): the couplings depend on |i-j| alone.
     flip_flops: tuple
-    isometry: sp.csr_matrix
-
-    def lift(self, amps: np.ndarray) -> np.ndarray:
-        """A joint state in this space's coordinates spin * (N_ph + 1) + n,
-        on the full joint basis."""
-        grid = np.reshape(amps, (self.isometry.shape[1], -1))
-        return (self.isometry @ grid).ravel()
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -179,47 +176,39 @@ def _frozen(mat) -> sp.csr_matrix:
     return out
 
 
-def _spin_matrix(dim: int, rows: np.ndarray, cols: np.ndarray, data) -> sp.csr_matrix:
-    """Read-only real dim x dim CSR matrix with ``data`` at the distinct
-    positions (rows, cols)."""
-    data = np.broadcast_to(np.asarray(data, dtype=np.float64), rows.shape)
-    return _frozen(sp.coo_matrix((data, (rows, cols)), shape=(dim, dim)))
-
-
 @lru_cache(maxsize=16)
 def full_spin_terms(n_atoms: int) -> SpinTerms:
     """Spin-space J_z, J_x and flip-flop sums, built once per atom count
     from the bits of the spin index.
 
-    Site i owns bit 2^(N-i) of the spin index s (see ``operators``).  J_z
-    is diagonal, popcount(s) - N/2, with its exact zeros not stored; J_x
-    holds 1/2 at (s, s ^ 2^(N-i)) for every site i; F_d holds 1 at
-    (s, s ^ (2^(N-i) | 2^(N-i-d))) for every pair (i, i+d) whose two bits
-    differ in s.  Those are exactly the entries, with the same values, of
-    the sums of single-site Pauli Kronecker chains and their products that
-    they stand for (the tests build those sums as the reference).  The isometry is the identity.  The matrices are shared by every
-    caller, so their arrays are read-only; combine them only out of place.
+    Site i owns bit 2^(N-i) of the spin index s (see ``operators``).  J_z's
+    diagonal is popcount(s) - N/2; J_x holds 1/2 at (s, s ^ 2^(N-i)) for
+    every site i; F_d holds 1 at (s, s ^ (2^(N-i) | 2^(N-i-d))) for every
+    pair (i, i+d) whose two bits differ in s.  Those are exactly the
+    entries, with the same values, of the sums of single-site Pauli
+    Kronecker chains and their products that they stand for (the tests
+    build those sums as the reference).  The arrays are shared by every
+    caller, so they are read-only; combine them only out of place.
     """
     dim = 2**n_atoms
     states = np.arange(dim, dtype=np.int64)
     site_bits = np.int64(1) << np.arange(n_atoms - 1, -1, -1, dtype=np.int64)
-    jz = np.bitwise_count(states) - 0.5 * n_atoms
-    stored = jz != 0.0
 
     def flips(masks, keep, value):
-        """``value`` at (s, s ^ mask) for every s and mask where ``keep`` holds."""
+        """Read-only CSR matrix with ``value`` at (s, s ^ mask) for every s
+        and mask where ``keep`` holds."""
         rows = np.broadcast_to(states[:, None], keep.shape)[keep]
-        return _spin_matrix(dim, rows, (states[:, None] ^ masks)[keep], value)
+        cols = (states[:, None] ^ masks)[keep]
+        return _frozen(sp.coo_matrix((np.full(rows.shape, value), (rows, cols)), shape=(dim, dim)))
 
     def flip_flop(d):
         masks = site_bits[:-d] | site_bits[d:]
         return flips(masks, np.bitwise_count(states[:, None] & masks) == 1, 1.0)
 
     return SpinTerms(
-        jz=_spin_matrix(dim, states[stored], states[stored], jz[stored]),
+        jz=_read_only(np.bitwise_count(states) - 0.5 * n_atoms),
         jx=flips(site_bits, np.ones((dim, n_atoms), dtype=bool), 0.5),
         flip_flops=tuple(flip_flop(d) for d in range(1, min(COUPLING_CUTOFF, n_atoms - 1) + 1)),
-        isometry=_spin_matrix(dim, states, states, 1.0),
     )
 
 
@@ -255,12 +244,14 @@ def reflection_isometry(n_atoms: int) -> sp.csr_matrix:
 
 @lru_cache(maxsize=16)
 def even_spin_terms(n_atoms: int) -> SpinTerms:
-    """V' S V for every matrix S of ``full_spin_terms``, V = ``reflection_isometry``:
-    the spin terms on the reflection-even sector, read-only like them, with
-    V as the isometry.
+    """V' S V for every spin factor S of ``full_spin_terms``, V =
+    ``reflection_isometry``: the spin terms on the reflection-even sector,
+    read-only like them.  V maps a sector state back to the full basis.
 
     Exact because every S commutes with the site reflection (the couplings
-    depend on |i-j| alone).
+    depend on |i-j| alone).  V' J_z V is diagonal, as J_z has the same
+    value on both states of a mirror pair; ``jz`` is its diagonal, which
+    differs from the popcount's by rounding (at most 8.9e-16 up to N = 12).
     """
     v = reflection_isometry(n_atoms)
     full = full_spin_terms(n_atoms)
@@ -269,10 +260,9 @@ def even_spin_terms(n_atoms: int) -> SpinTerms:
         return _frozen(v.T @ mat @ v)
 
     return SpinTerms(
-        jz=restrict(full.jz),
+        jz=_read_only(restrict(sp.diags(full.jz)).diagonal()),
         jx=restrict(full.jx),
         flip_flops=tuple(restrict(f_d) for f_d in full.flip_flops),
-        isometry=v,
     )
 
 
@@ -289,7 +279,8 @@ def _kron_terms(n_atoms: int, n_photon_max: int) -> dict:
     a = sp.csr_matrix((np.sqrt(n, dtype=float), (n - 1, n)), shape=(n_photon_max + 1,) * 2)
     spin_eye, cavity_eye = sp.identity(2**n_atoms), sp.identity(n_photon_max + 1)
     quadrature = a + a.T
-    factors = {"Jz": (spin.jz, cavity_eye), "a'a": (spin_eye, a.T @ a),
+    # The diagonal J_z's COO form, which sp.kron takes, drops its exact zeros.
+    factors = {"Jz": (sp.diags(spin.jz), cavity_eye), "a'a": (spin_eye, a.T @ a),
                "Jx(a'+a)": (spin.jx, quadrature), "a'+a": (spin_eye, quadrature)}
     factors.update((f"F{d}", (f_d, cavity_eye)) for d, f_d in enumerate(spin.flip_flops, start=1))
     terms = {key: sp.kron(*pair, format="coo") for key, pair in factors.items()}

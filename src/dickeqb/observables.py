@@ -5,11 +5,12 @@ Every battery figure of merit is a function of the J_z moments <J_z> and
 omega0 sqrt(<J_z^2> - <J_z>^2).  So ``stored_energy`` and
 ``energy_fluctuation`` take ``JzMoments``, which ``jz_moments`` gives for a
 state and the propagation recorder reads off |x|^2 with the J_z diagonal
-of the space it steps in.  J_z is diagonal in every space, and its
-diagonal comes from the model's bit-built spin terms.  The ground-state
-solver for the (eta, g) phase diagram lives here as well.  It takes the
-Hamiltonian as a matrix, checks once that it is Hermitian and solves it in
-its own dtype: real symmetric for the model's real CSR matrices.
+of the space it steps in.  J_z is diagonal in every space, so the model's
+bit-built spin terms hold it as that diagonal, ``SpinTerms.jz``.  The
+ground-state solver for the (eta, g) phase diagram lives here as well.  It
+takes the Hamiltonian as a matrix, checks once that it is Hermitian and
+solves it in its own dtype: real symmetric for the model's real CSR
+matrices.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ class JzMoments(NamedTuple):
 
 def jz_moments(state: StateVector) -> JzMoments:
     """<J_z> and <J_z^2> on the joint state."""
-    diag = np.repeat(full_spin_terms(state.dims.n_atoms).jz.diagonal(), state.dims.boson_dim)
+    diag = np.repeat(full_spin_terms(state.dims.n_atoms).jz, state.dims.boson_dim)
     prob = np.abs(state.amplitudes) ** 2
     return JzMoments(float(diag @ prob), float((diag * diag) @ prob))
 

@@ -102,6 +102,14 @@ class TestEvolve:
         cfg = write_config(tmp_path, **{**EVOLVE_CFG, "N_ph": None, "n_init": None, "T": None})
         assert cli.main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 0
 
+    @pytest.mark.parametrize("bad", [{"R": 0.0}, {"R": -1.0}, {"c_light": 0.0}])
+    def test_geometric_spacing_must_be_positive(self, tmp_path, capsys, bad):
+        # R = 0 divided by zero in the geometric coupling; R < 0 flipped its sign
+        cfg = write_config(tmp_path, **{**EVOLVE_CFG, "N": 2, "coupling_mode": "geometric", **bad})
+        assert cli.main(["evolve", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err.startswith("error: R and c_light must be positive")
+        assert not (tmp_path / "run").exists()
+
     def test_numerical_failure_maps_to_exit_3(self, tmp_path, monkeypatch):
         def boom(*args, **kwargs):
             raise NumericalError("synthetic failure")
@@ -145,6 +153,14 @@ class TestSweep:
     def test_missing_n(self, tmp_path):
         cfg = write_config(tmp_path, g=[0.1, 0.2])
         assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+    def test_repeated_axis_value_rejected(self, tmp_path, capsys):
+        # a repeated N would be propagated twice and written as two rows,
+        # which fit then rejects
+        cfg = write_config(tmp_path, N=[2, 2, 3], g=0.1, t_max=0.2, dt=0.01)
+        assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "error: key 'N' repeats the value 2\n"
+        assert not (tmp_path / "out").exists()
 
     def test_parallel_output_identical(self, tmp_path):
         cfg = write_config(tmp_path, N=[1, 2], g=[0.2, 0.4], Omega=0.3, eta=0.0,
@@ -340,6 +356,12 @@ class TestPhaseDiagram:
         cfg = write_config(tmp_path, **{"N": 2, "eta": [0.0], "g": [0.1], **bad})
         assert cli.main(["phase-diagram", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith("error: key")
+
+    def test_repeated_axis_value_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, N=2, eta=[0.0], g=[0.1, 0.2, 0.1])
+        assert cli.main(["phase-diagram", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "error: key 'g' repeats the value 0.1\n"
+        assert not (tmp_path / "out").exists()
 
     def test_drive_keys_rejected(self, tmp_path):
         cfg = write_config(tmp_path, N=2, eta=[0.0], g=[0.1], Omega=1.0)

@@ -72,6 +72,11 @@ class TestModelParams:
             dict(N=2, N_ph=False),
             dict(N=2, n_init=1.5),
             dict(N=2, n_init=np.float64(1.0)),
+            dict(N=2, coupling_mode="geometric", R=0.0),
+            dict(N=2, coupling_mode="geometric", R=-1.0),
+            dict(N=2, R=0.0),
+            dict(N=2, c_light=0.0),
+            dict(N=2, coupling_mode="geometric", c_light=-1.0),
         ],
     )
     def test_invalid_params(self, kwargs):
@@ -247,19 +252,28 @@ class TestAgainstPairLoop:
     def test_cached_terms_are_read_only(self):
         with pytest.raises(ValueError):
             full_spin_terms(3).flip_flops[0].data[0] = 2.0
+        # J_z is held as its diagonal in both spaces: a read-only 1-D array
+        for space in (full_spin_terms, even_spin_terms):
+            jz = space(3).jz
+            assert type(jz) is np.ndarray and jz.ndim == 1 and jz.dtype == np.float64
+            with pytest.raises(ValueError):
+                jz[0] = 2.0
 
     @pytest.mark.parametrize("n_atoms", range(1, 11))
     def test_bit_built_spin_terms_equal_kron_sums(self, n_atoms):
         got = full_spin_terms(n_atoms)
         want = kron_spin_terms(n_atoms)
         assert len(got.flip_flops) == len(want) - 2
-        for mat, ref in zip((got.jz, got.jx, *got.flip_flops), want):
+        # J_z's diagonal, as a CSR matrix with its exact zeros dropped
+        jz = sp.csr_matrix(sp.diags(got.jz))
+        assert not got.jz.flags.writeable
+        for mat, ref in zip((jz, got.jx, *got.flip_flops), want):
             assert mat.shape == ref.shape
             for name in ("indptr", "indices", "data"):
                 arr, ref_arr = getattr(mat, name), getattr(ref, name)
                 assert arr.dtype == ref_arr.dtype, name
                 assert np.array_equal(arr, ref_arr), name
-                assert not arr.flags.writeable, name
+                assert mat is jz or not arr.flags.writeable, name
             assert np.array_equal(np.signbit(mat.data), np.signbit(ref.data))
 
 
@@ -276,8 +290,8 @@ class TestTermTable:
         mat = build_H_static(p)
         cached = [a for term in _kron_terms(p.N, p.photon_cutoff).values()
                   for a in (term.data, term.row, term.col)]
-        cached += [a for f in (spin.jz, spin.jx, *spin.flip_flops)
-                   for a in (f.data, f.indices, f.indptr)]
+        cached += [spin.jz] + [a for f in (spin.jx, *spin.flip_flops)
+                               for a in (f.data, f.indices, f.indptr)]
         for arr in (mat.data, mat.indices, mat.indptr):
             assert not any(np.shares_memory(arr, c) for c in cached)
 
@@ -368,10 +382,14 @@ class TestSiteReflection:
         p = reference_params(n_atoms, mode, case)
         v = reflection_isometry(n_atoms)
         even = even_spin_terms(n_atoms)
-        terms = (even.jz, even.jx, *even.flip_flops)
+        terms = (even.jx, *even.flip_flops)
         refs = kron_spin_terms(n_atoms)
-        assert len(terms) == len(refs)
-        for term, ref in zip(terms, refs):
+        assert len(terms) == len(refs) - 1
+        # V' J_z V has no entry off its diagonal, which is the sector's jz
+        jz = sp.csr_matrix(v.T @ refs[0] @ v)
+        assert np.array_equal(even.jz, jz.diagonal())
+        assert np.count_nonzero(jz.toarray() - np.diag(even.jz)) == 0
+        for term, ref in zip(terms, refs[1:]):
             want = sp.csr_matrix(v.T @ ref @ v)
             want.sum_duplicates()
             for name in ("indptr", "indices", "data"):
@@ -380,7 +398,7 @@ class TestSiteReflection:
         a = sp.diags(np.sqrt(np.arange(1.0, p.dims.boson_dim)), 1)
         flips = sum((dipole_coupling(1, 1 + d, p) * f_d
                      for d, f_d in enumerate(even.flip_flops, start=1)), sp.csr_matrix(eye_s.shape))
-        sector = (p.omega0 * sp.kron(even.jz, eye_b),
+        sector = (p.omega0 * sp.kron(sp.diags(even.jz), eye_b),
                   p.omegac * sp.kron(eye_s, a.T @ a) + 2.0 * p.g * sp.kron(even.jx, a + a.T)
                   + sp.kron(flips, eye_b),
                   sp.kron(eye_s, a + a.T))

@@ -109,7 +109,7 @@ class TestJzDiagonal:
             iso = reflection_isometry(n_atoms).tocsc()
             states = iso.indices[iso.indptr[:-1]]
         want = np.array([bin(s).count("1") for s in states]) - n_atoms / 2.0
-        got = space(n_atoms).jz.diagonal()
+        got = space(n_atoms).jz
         if space is full_spin_terms:
             assert np.array_equal(got, want)
         else:
