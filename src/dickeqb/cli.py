@@ -19,7 +19,6 @@ import csv
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from itertools import product
 from pathlib import Path
@@ -234,6 +233,10 @@ def _run_pool(worker, tasks, jobs: int):
     workers = min(jobs, len(tasks))
     if workers <= 1:
         return [worker(t) for t in tasks]
+    # Imported here: the pool brings in multiprocessing, which a serial run
+    # never uses.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, tasks))
 

@@ -634,7 +634,7 @@ class _Recorder:
         pops, means, squares, tops = self._moments(amps)
         norms = [math.sqrt(pop) for pop in pops]
         for p, nrm in zip(self.batch, norms):
-            if abs(nrm - 1.0) > NORM_DRIFT_LIMIT:
+            if not abs(nrm - 1.0) <= NORM_DRIFT_LIMIT:
                 raise IntegrationError(
                     f"norm drift {abs(nrm - 1.0):.3e} at t={t:.6g} (N={p.N}) exceeds "
                     f"{NORM_DRIFT_LIMIT}; the Taylor kernel's drift grows with ||H|| and the "

@@ -83,7 +83,7 @@ class ModelParams:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
+            if isinstance(value, (float, np.floating)) and not math.isfinite(value):
                 raise DomainError(f"{f.name} must be finite, got {value}")
         require_int("N", self.N)
         require_int("N_ph", self.photon_cutoff)

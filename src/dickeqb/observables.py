@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 
 from dickeqb.errors import ContractError, DomainError, NumericalError
@@ -78,7 +77,7 @@ def charging_power(E_b: float, t: float) -> float:
 
 def _hb_std(moments: JzMoments, omega0: float) -> float:
     var = omega0**2 * (moments.square - moments.mean * moments.mean)
-    if var < VARIANCE_FLOOR:
+    if not var >= VARIANCE_FLOOR:
         raise NumericalError(f"negative battery-energy variance {var:.3e}")
     return math.sqrt(max(var, 0.0))
 
@@ -112,6 +111,10 @@ class GroundStateResult:
 
 
 def _dense_lowest_pair(mat) -> tuple[np.ndarray, np.ndarray]:
+    # Imported here: only ground_state reaches this, and scipy.linalg adds
+    # ~8 MB of resident memory and ~40 ms to a process that imports it.
+    import scipy.linalg
+
     dense = mat.toarray()
     vals, vecs = scipy.linalg.eigh(dense, subset_by_index=[0, min(1, dense.shape[0] - 1)])
     return vals, vecs
@@ -147,7 +150,8 @@ def ground_state(H, dims: HilbertDims) -> GroundStateResult:
     converge.  The ARPACK start vector is fixed so repeated runs are
     bitwise reproducible.
     """
-    # Imported here: scipy.sparse.linalg would add ~11 ms to every CLI start.
+    # Imported here: scipy.sparse.linalg brings scipy.linalg with it, ~40 ms
+    # and ~8 MB that no propagation run needs.
     import scipy.sparse.linalg as spla
 
     if not (sp.issparse(H) or isinstance(H, np.ndarray)) or H.ndim != 2:
@@ -166,7 +170,10 @@ def ground_state(H, dims: HilbertDims) -> GroundStateResult:
         v0 = np.full(n, 1.0 / np.sqrt(n), dtype=mat.dtype)
         k = min(2, n - 1)
         try:
-            vals, vecs = spla.eigsh(mat, k=k, which="SA", v0=v0, maxiter=50 * n)
+            # ARPACK asks for one vector at a time; handing it the matrix's
+            # 1-D product skips SciPy's one-column multivector path.
+            op = spla.LinearOperator(mat.shape, matvec=mat.dot, dtype=mat.dtype)
+            vals, vecs = spla.eigsh(op, k=k, which="SA", v0=v0, maxiter=50 * n)
             order = np.argsort(vals)
             vals, vecs = vals[order], vecs[:, order]
         except (spla.ArpackNoConvergence, spla.ArpackError) as exc:

@@ -69,7 +69,7 @@ class StateVector:
                 f"total_dim {dims.total_dim}"
             )
         nrm = float(np.linalg.norm(amps))
-        if abs(nrm - 1.0) > norm_atol:
+        if not abs(nrm - 1.0) <= norm_atol:
             raise ContractError(f"state norm {nrm!r} deviates from 1 beyond {norm_atol}")
         self.dims = dims
         self.amplitudes = amps

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dickeqb import cli
+from dickeqb import cli, observables
 from dickeqb.errors import NumericalError
 from dickeqb.model import ModelParams, static_hamiltonian
 from dickeqb.observables import ground_state
@@ -25,6 +26,22 @@ def read_csv(path):
     rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
     return header, rows
 
+
+def run_python(code):
+    """stdout of ``code`` run in a fresh interpreter that imports this
+    checkout's dickeqb."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+# Modules that importing the CLI must not load.
+LAZY_MODULES = ("scipy.integrate", "scipy.sparse.linalg", "scipy.linalg",
+                "concurrent.futures.process", "multiprocessing")
 
 EVOLVE_CFG = dict(N=1, g=0.2, Omega=0.4, eta=0.0, N_ph=3, n_init=1,
                   t_max=1.0, dt=0.01, sample_stride=10)
@@ -213,7 +230,7 @@ class TestSweep:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", Serial)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Serial)
         cfg = write_config(tmp_path, N=[1, 2], g=[0.2, 0.4, 0.6], Omega=0.3, N_ph=3,
                            n_init=1, t_max=0.2, dt=0.01, sample_stride=10)
         assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path), "--jobs", "8"]) == 0
@@ -449,20 +466,56 @@ class TestParser:
             cli.main(["explode"])
         assert exc.value.code == 2
 
-    def test_import_leaves_out_scipy_integrate(self):
-        # scipy.integrate serves only the oracle, and scipy.sparse.linalg
-        # only the ground-state solver; importing them with the CLI would
-        # add ~0.3 s and ~11 ms to every start.  Nor does the import
-        # assemble: the model's Kronecker terms and spin factors are built
-        # on first use.
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    def test_import_leaves_out_solvers_and_process_pool(self):
+        # scipy.integrate serves only the oracle; scipy.sparse.linalg and the
+        # scipy.linalg it brings serve only the ground-state solver; the
+        # process pool and multiprocessing only --jobs > 1.  Importing them
+        # with the CLI would add ~0.3 s, ~40 ms and ~8 MB of resident memory
+        # to every start.  Nor does the import assemble: the model's
+        # Kronecker terms and spin factors are built on first use.
         code = ("import sys, dickeqb.cli; from dickeqb import model; "
-                "print('scipy.integrate' in sys.modules, 'scipy.sparse.linalg' in sys.modules, "
+                f"print(*[m in sys.modules for m in {LAZY_MODULES!r}], "
                 "model._kron_terms.cache_info().currsize, "
                 "model.full_spin_terms.cache_info().currsize, "
                 "model.even_spin_terms.cache_info().currsize)")
-        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                             capture_output=True, text=True).stdout
-        assert out.split() == ["False", "False", "0", "0", "0"]
+        out = run_python(code)
+        assert out.split() == ["False"] * len(LAZY_MODULES) + ["0", "0", "0"]
+
+    def test_propagation_commands_never_load_scipy_linalg(self, tmp_path):
+        # evolve, sweep, fit and convergence run on NumPy and scipy.sparse
+        # alone; phase-diagram then loads the solvers at its first solve,
+        # on the dense path (dimension 6) and on ARPACK (dimension 36).
+        assert 6 <= observables.DENSE_SOLVER_DIM < 36
+        code = f"""
+import json, sys
+from pathlib import Path
+from dickeqb import cli
+
+tmp = Path({str(tmp_path)!r})
+def run(name, command, *args, **config):
+    path = tmp / (name + ".json")
+    path.write_text(json.dumps(config))
+    rc = cli.main([command, "--config", str(path), "--out", str(tmp / name), *args])
+    assert rc == 0, (name, rc)
+
+run("evolve", "evolve", N=2, g=0.2, Omega=0.4, eta=0.5, N_ph=3, n_init=1, t_max=0.5,
+    dt=0.01, sample_stride=10)
+assert "scipy.linalg" not in sys.modules, "evolve"
+run("sweep", "sweep", "--jobs", "1", N=[1, 2, 3], g=0.2, Omega=0.3, eta=0.5, N_ph=3,
+    n_init=1, t_max=0.5, dt=0.01, sample_stride=10)
+assert cli.main(["fit", str(tmp / "sweep" / "sweep.csv"), "--out", str(tmp / "sweep")]) == 0
+assert "scipy.linalg" not in sys.modules, "sweep and fit"
+run("convergence", "convergence", N=1, g=0.2, Omega=0.3, t_max=0.5, dt=0.01,
+    sample_stride=10)
+assert "scipy.linalg" not in sys.modules, "convergence"
+run("dense", "phase-diagram", N=1, N_ph=2, eta=[0.0], g=[0.4])
+run("arpack", "phase-diagram", N=2, N_ph=8, eta=[0.5], g=[0.4])
+assert "scipy.linalg" in sys.modules
+"""
+        run_python(code)
+        for name, p in [("dense", ModelParams(N=1, N_ph=2, n_init=0, g=0.4)),
+                        ("arpack", ModelParams(N=2, N_ph=8, eta=0.5, g=0.4))]:
+            _, rows = read_csv(tmp_path / name / "phase_diagram.csv")
+            ref = ground_state(static_hamiltonian(p), p.dims)
+            assert float(rows[0]["magnetization"]) == pytest.approx(ref.magnetization, abs=1e-9)
+            assert float(rows[0]["gap"]) == pytest.approx(ref.gap, abs=1e-9)

@@ -262,6 +262,15 @@ class TestPropagate:
                            match=r"^norm drift .* lower the photon cutoff N_ph or shorten t_max$"):
             rec.record(0.5, bad)
 
+    def test_norm_drift_guard_catches_nan(self):
+        p = ModelParams(N=1, N_ph=1, n_init=0)
+        amps = initial_state(p).amplitudes
+        rec = _Recorder((p,), [full_spin_terms(p.N).jz], p.dims.boson_dim, amps)
+        bad = amps.copy()
+        bad[0] = np.nan
+        with pytest.raises(IntegrationError, match=r"^norm drift nan at t=0\.5"):
+            rec.record(0.5, bad)
+
     def test_norm_drift_guard_is_per_block(self):
         # Only the padded second block drifts.
         batch = [ModelParams(N=2, N_ph=3, n_init=1), ModelParams(N=3, N_ph=1, n_init=0)]

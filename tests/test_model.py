@@ -64,6 +64,10 @@ class TestModelParams:
             dict(N=1, omega0=float("nan")),
             dict(N=1, eta=-float("inf")),
             dict(N=1, R=float("nan")),
+            dict(N=2, g=np.float32("nan")),
+            dict(N=2, T=np.float32("inf")),
+            dict(N=1, Omega=np.float16("-inf")),
+            dict(N=1, eta=np.longdouble("nan")),
             dict(N=2.5),
             dict(N=2.0),
             dict(N=True),
@@ -82,6 +86,11 @@ class TestModelParams:
     def test_invalid_params(self, kwargs):
         with pytest.raises(DomainError):
             ModelParams(**kwargs)
+
+    def test_finite_numpy_and_huge_int_values(self):
+        p = ModelParams(N=2, g=np.float32(0.5), T=np.float16(2.0), R=10**400)
+        assert p.g == np.float32(0.5)
+        assert p.R == 10**400
 
     def test_numpy_integer_counts(self):
         p = ModelParams(N=np.int64(2), N_ph=np.int32(3), n_init=np.int8(1))

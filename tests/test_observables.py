@@ -289,3 +289,9 @@ class TestVarianceGuard:
             energy_fluctuation(*pair, p)
         # a variance inside the floor is rounding and counts as 0
         assert energy_fluctuation(within, within, p) == 0.0
+
+    def test_nan_variance_raises(self):
+        p = ModelParams(N=2)
+        good = JzMoments(0.25, 0.5)
+        with pytest.raises(NumericalError, match="negative battery-energy variance nan"):
+            energy_fluctuation(JzMoments(0.5, float("nan")), good, p)

@@ -281,6 +281,10 @@ class TestContainers:
         with pytest.raises(ContractError):
             StateVector(dims, np.array([1.0, 1.0]))
 
+    def test_nan_state_rejected(self):
+        with pytest.raises(ContractError, match="state norm nan"):
+            StateVector(HilbertDims(1, 1), [np.nan] * 4)
+
     def test_operator_shape_checked(self):
         with pytest.raises(DomainError, match="does not match total_dim 6"):
             ground_state(np.eye(8), HilbertDims(1, 2))
