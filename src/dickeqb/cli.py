@@ -392,9 +392,10 @@ def cmd_phase_diagram(args) -> int:
         for eta in etas
         for g in gs
     ]
-    # The dimension bound evolve, sweep and convergence apply, at its
-    # default, checked before any Hamiltonian is assembled.
-    _check_dim(tasks[0], PropagationConfig.max_dim)
+    # The default max_dim of evolve, sweep and convergence, on the full
+    # space the ground state is solved in, checked before any Hamiltonian
+    # is assembled.
+    _check_dim(tasks[0].dims.total_dim, PropagationConfig.max_dim, "total")
     results = _run_pool(_phase_point, tasks, args.jobs)
     warnings = 0
     rows = []

@@ -43,10 +43,12 @@ The observables are J_z moments, which the sector gives exactly: J_z has
 the same value on both states of a mirror pair, so V' J_z^k V is the
 sector's diagonal J_z to the k-th power.  Each sample is therefore
 recorded in the sector, from |x|^2 and the ``jz`` diagonal of the sector
-spin terms (see ``_Recorder``), and only the final state is lifted to the
-full joint basis, by P.  Built with ``model.full_spin_terms``, the stepper
-acts on the full space instead, exact on any state; the tests check the
-sector against it.
+spin terms (see ``_Recorder``), and the final state stays there: a
+trajectory's ``final_amplitudes`` are sector amplitudes, which P x maps
+back to the full joint basis.  ``max_dim`` bounds the sector dimension
+``model.even_sector_dim`` x (N_ph + 1), the one stepped.  Built with
+``model.full_spin_terms``, the stepper acts on the full space instead,
+exact on any state; the tests check the sector against it.
 
 ``propagate`` also takes a batch: parameter sets that share the time
 dependence (Omega, omegad and T), such as the N = 1..6 points of a sweep
@@ -96,12 +98,12 @@ from dickeqb.model import (
     dipole_coupling,
     drive_coefficient,
     drive_operator,
+    even_sector_dim,
     even_spin_terms,
     full_spin_terms,
     initial_state,
-    reflection_isometry,
 )
-from dickeqb.operators import StateVector, require_int
+from dickeqb.operators import require_int
 
 # Gauss-Legendre nodes of one step and the weight of the node commutator in
 # the Magnus-4 exponent.
@@ -133,7 +135,9 @@ class PropagationConfig:
     at every sample_stride-th point of the dt grid and at t_max.  Neither
     ``propagate`` nor ``oracle_propagate`` steps at dt: the magnus4 step
     comes from the error bound MAGNUS_TOL, the oracle's from DOP853's own
-    control at ORACLE_TOL.
+    control at ORACLE_TOL.  ``max_dim`` bounds the dimension a run steps
+    in: the reflection-even sector's for ``propagate``, per batch entry,
+    and the full 2^N (N_ph + 1) for ``oracle_propagate``.
     """
 
     t_max: float = 20.0
@@ -158,7 +162,15 @@ class PropagationConfig:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled time series of one charging run."""
+    """Sampled time series of one charging run.
+
+    ``final_amplitudes`` is the state at t_max in the space the run was
+    stepped in, laid out spin index * (N_ph + 1) + n: for ``propagate`` the
+    reflection-even sector, whose spin index is the column of
+    ``model.reflection_isometry`` V, so (V @ amps.reshape(-1, N_ph + 1))
+    flattened is the state on the full joint basis; for
+    ``oracle_propagate`` the full joint basis itself.
+    """
 
     times: np.ndarray
     E_b: np.ndarray
@@ -167,7 +179,7 @@ class Trajectory:
     Jz_mean: np.ndarray
     norms: np.ndarray
     params: ModelParams
-    final_state: StateVector
+    final_amplitudes: np.ndarray
     # Largest population of the top Fock level |N_ph> over the samples: how
     # much weight the photon cutoff holds.
     edge_population: float = 0.0
@@ -592,7 +604,7 @@ class _Recorder:
     over every level, and picks the top level |N_ph> for the edge
     population.  That is exact in the reflection-even sector too: J_z is
     diagonal there, with the value it has on both states of a mirror pair.
-    ``build`` takes each block's final state on the full joint basis.  dE_b's
+    ``build`` takes each block's final amplitudes as they were stepped.  dE_b's
     variances come from the moments divided by the block's population, so a
     norm drift inside NORM_DRIFT_LIMIT does not drive the variance of a
     near-eigenstate of J_z below VARIANCE_FLOOR; E_b and Jz_mean take the
@@ -651,7 +663,7 @@ class _Recorder:
 
     def build(self, finals, steps: int = 0, step_errors=None) -> list:
         """One Trajectory per block, with ``finals`` each block's final
-        amplitudes on the full joint basis."""
+        amplitudes in its own coordinates spin * (N_ph + 1) + n."""
         step_errors = [0.0] * len(self.batch) if step_errors is None else step_errors
         trajectories = []
         for p, samples, final, edge, error in zip(
@@ -665,7 +677,7 @@ class _Recorder:
                 Jz_mean=jz_mean,
                 norms=norms,
                 params=p,
-                final_state=StateVector(p.dims, final, norm_atol=2 * NORM_DRIFT_LIMIT),
+                final_amplitudes=final,
                 edge_population=edge,
                 steps=steps,
                 step_error=float(error),
@@ -673,10 +685,11 @@ class _Recorder:
         return trajectories
 
 
-def _check_dim(params: ModelParams, cap: int) -> None:
-    dim = params.dims.total_dim
+def _check_dim(dim: int, cap: int, which: str) -> None:
+    """ResourceError when ``dim``, the ``which`` dimension ("sector" or
+    "total") of a run, exceeds ``cap``."""
     if dim > cap:
-        raise ResourceError(f"total dimension {dim} exceeds the configured bound {cap}")
+        raise ResourceError(f"{which} dimension {dim} exceeds the configured bound {cap}")
 
 
 def propagate(params, cfg: PropagationConfig | None = None):
@@ -692,9 +705,11 @@ def propagate(params, cfg: PropagationConfig | None = None):
     reflection, so the state stays there.  A batch steps as one
     block-diagonal system with the tolerances held per block (see the module
     docstring); each entry reports the batch's step count and its own error
-    estimate.  The final state is lifted to the full joint basis.  Raises
-    ResourceError when an entry's dimension exceeds ``max_dim`` and
-    IntegrationError when an entry's norm drifts beyond 1e-6.
+    estimate.  Each final state is kept in the sector (see ``Trajectory``).
+    Raises ResourceError when an entry's sector dimension
+    ``model.even_sector_dim(N)`` x (N_ph + 1) exceeds ``max_dim``, before
+    anything is built, and IntegrationError when an entry's norm drifts
+    beyond 1e-6.
     """
     trajectories = _magnus4_batch(_batch(params), cfg or PropagationConfig())
     return trajectories[0] if isinstance(params, ModelParams) else trajectories
@@ -703,7 +718,7 @@ def propagate(params, cfg: PropagationConfig | None = None):
 def _magnus4_batch(batch, cfg: PropagationConfig) -> list:
     """magnus4 trajectories of a batch, stepped as one block-diagonal system."""
     for p in batch:
-        _check_dim(p, cfg.max_dim)
+        _check_dim(even_sector_dim(p.N) * p.dims.boson_dim, cfg.max_dim, "sector")
     stepper = _Stepper(batch, even_spin_terms)
     # |g...g> is spin state 0 of the sector (column 0 of reflection_isometry),
     # so each block starts as the unit vector at (0, n_init).
@@ -719,10 +734,7 @@ def _magnus4_batch(batch, cfg: PropagationConfig) -> list:
             steps += n
             step_errors += errors
         recorder.record(t1, amps)
-    # Each block's final sector state, lifted to the full joint basis.
-    finals = [(reflection_isometry(p.N) @ part.reshape(-1, p.dims.boson_dim)).ravel()
-              for p, part in zip(batch, stepper.unpack(amps))]
-    return recorder.build(finals, steps=steps, step_errors=step_errors)
+    return recorder.build(stepper.unpack(amps), steps=steps, step_errors=step_errors)
 
 
 def oracle_propagate(params: ModelParams, cfg: PropagationConfig | None = None) -> Trajectory:
@@ -732,14 +744,15 @@ def oracle_propagate(params: ModelParams, cfg: PropagationConfig | None = None) 
     H_b, H_static and a'+a, at rtol = atol = ORACLE_TOL, with one solve per
     (start, length, charger on) piece of the sample intervals magnus4 walks,
     so both record at the same times.  DOP853 is not unitary; the recorder's norm guard
-    still applies.  Raises ResourceError when the dimension exceeds
-    ``max_dim`` and NumericalError when a solve fails.
+    still applies.  The final amplitudes are on the full joint basis.  Raises
+    ResourceError when the full dimension 2^N (N_ph + 1) exceeds ``max_dim``
+    and NumericalError when a solve fails.
     """
     # Imported here: scipy.integrate would add ~0.3 s to every CLI start.
     from scipy.integrate import solve_ivp
 
     cfg = cfg or PropagationConfig()
-    _check_dim(params, cfg.max_dim)
+    _check_dim(params.dims.total_dim, cfg.max_dim, "total")
     h_off = build_H_battery(params)
     h_on = h_off + build_H_static(params)
     drive = drive_operator(params)

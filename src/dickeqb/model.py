@@ -242,6 +242,13 @@ def reflection_isometry(n_atoms: int) -> sp.csr_matrix:
     return _frozen(mat)
 
 
+def even_sector_dim(n_atoms: int) -> int:
+    """Spin dimension of the reflection-even sector, the column count of
+    ``reflection_isometry``, without building it: one state per palindrome
+    (2^ceil(N/2) of them) and one per mirror pair."""
+    return (2**n_atoms + 2 ** ((n_atoms + 1) // 2)) // 2
+
+
 @lru_cache(maxsize=16)
 def even_spin_terms(n_atoms: int) -> SpinTerms:
     """V' S V for every spin factor S of ``full_spin_terms``, V =

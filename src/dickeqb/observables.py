@@ -148,7 +148,12 @@ def ground_state(H, dims: HilbertDims) -> GroundStateResult:
     diagonalization up to DENSE_SOLVER_DIM; above it ARPACK, with a dense
     fallback (dimensions up to DENSE_FALLBACK_MAX_DIM) when ARPACK does not
     converge.  The ARPACK start vector is fixed so repeated runs are
-    bitwise reproducible.
+    bitwise reproducible.  It is the ramp 1 + k/n over the basis index k,
+    normalised, which is not symmetric: the model's H commutes exactly with
+    the site reflection, and a Krylov space stays in the symmetry sectors of
+    its start vector, so a reflection-even start such as the uniform vector
+    reaches odd eigenstates only through rounding (at N = 2 not at all) and
+    can return a wrong ground state or gap.
     """
     # Imported here: scipy.sparse.linalg brings scipy.linalg with it, ~40 ms
     # and ~8 MB that no propagation run needs.
@@ -167,7 +172,8 @@ def ground_state(H, dims: HilbertDims) -> GroundStateResult:
 
     vals = vecs = None
     if n > DENSE_SOLVER_DIM:
-        v0 = np.full(n, 1.0 / np.sqrt(n), dtype=mat.dtype)
+        v0 = 1.0 + np.arange(n, dtype=mat.dtype) / n
+        v0 /= np.linalg.norm(v0)
         k = min(2, n - 1)
         try:
             # ARPACK asks for one vector at a time; handing it the matrix's

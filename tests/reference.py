@@ -8,7 +8,8 @@ terms from the bits of the spin index instead, so agreement between the
 two checks both.  The operators are complex CSR matrices, apart from the
 real Kronecker-sum references of ``kron_sum_operators``.  ``step_magnus4``
 is one Gauss-Magnus-4 step in the full joint space, from the package's
-stepper; ``pack`` lays block vectors out in a stepper's padded grid.
+stepper; ``pack`` lays block vectors out in a stepper's padded grid, and
+``lift`` maps a reflection-sector state to the full joint basis.
 """
 
 from functools import lru_cache
@@ -18,7 +19,7 @@ import scipy.sparse as sp
 
 from dickeqb.dynamics import NORM_DRIFT_LIMIT, _charging_segments, _Stepper
 from dickeqb.errors import ContractError, DomainError, NumericalError
-from dickeqb.model import COUPLING_CUTOFF, dipole_coupling, full_spin_terms
+from dickeqb.model import COUPLING_CUTOFF, dipole_coupling, full_spin_terms, reflection_isometry
 from dickeqb.observables import HERMITIAN_ATOL, _hermitian_defect
 from dickeqb.operators import StateVector
 
@@ -229,3 +230,9 @@ def pack(stepper: _Stepper, parts) -> np.ndarray:
     for block, boson_dim, part in zip(stepper.blocks, stepper.boson_dims, parts):
         amps[block].reshape(-1, stepper.width)[:, :boson_dim] = np.reshape(part, (-1, boson_dim))
     return amps
+
+
+def lift(params, amps) -> np.ndarray:
+    """A reflection-even sector state, laid out sector spin index * (N_ph + 1)
+    + n as ``propagate``'s final amplitudes are, on the full joint basis."""
+    return (reflection_isometry(params.N) @ np.reshape(amps, (-1, params.dims.boson_dim))).ravel()

@@ -35,6 +35,7 @@ from dickeqb.observables import ground_state
 from reference import (
     build_collective_spin,
     expectation,
+    lift,
     partial_trace_spin,
     site_operator,
     spin_to_joint,
@@ -133,7 +134,7 @@ def test_criterion_2_oracle_equivalence():
     t_m = _run(params, cfg)
     t_o = oracle_propagate(params, cfg)
     max_de = float(np.abs(t_m.E_b - t_o.E_b).max())
-    overlap = np.vdot(t_m.final_state.amplitudes, t_o.final_state.amplitudes)
+    overlap = np.vdot(lift(params, t_m.final_amplitudes), t_o.final_amplitudes)
     infidelity = float(1.0 - abs(overlap) ** 2)
     ok = max_de < 1e-6 and infidelity < 1e-8
     report(2, ok, f"max |dE_b| = {max_de:.3e}, terminal infidelity = {infidelity:.3e}")

@@ -20,7 +20,7 @@ def series_trajectory(times, values):
     v = np.asarray(values, dtype=float)
     zeros = np.zeros_like(t)
     return Trajectory(times=t, E_b=v, P_b=v.copy(), dE_b=zeros, Jz_mean=zeros,
-                      norms=np.ones_like(t), params=ModelParams(N=1), final_state=None)
+                      norms=np.ones_like(t), params=ModelParams(N=1), final_amplitudes=None)
 
 
 class TestFindMax:

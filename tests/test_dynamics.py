@@ -35,6 +35,7 @@ from dickeqb.model import (
     drive_coefficient,
     drive_operator,
     initial_state,
+    even_sector_dim,
     even_spin_terms,
     full_spin_terms,
     reflection_isometry,
@@ -42,7 +43,7 @@ from dickeqb.model import (
 )
 from dickeqb.observables import charging_power, energy_fluctuation, jz_moments, stored_energy
 from dickeqb.operators import StateVector
-from reference import boson_matrix, expectation, pack, step_magnus4
+from reference import boson_matrix, expectation, lift, pack, step_magnus4
 
 # Every test that takes a spin space runs in both: the full space and the
 # reflection-even sector.
@@ -139,7 +140,7 @@ class TestStepMagnus4:
         # halving dt shrinks the global error ~16x against the DOP853 oracle
         p = ModelParams(N=2, N_ph=4, g=0.5, Omega=1.0, eta=0.8, n_init=2)
         ref_cfg = PropagationConfig(t_max=1.0, dt=5e-4, sample_stride=2000)
-        ref = oracle_propagate(p, ref_cfg).final_state.amplitudes
+        ref = oracle_propagate(p, ref_cfg).final_amplitudes
         errs = []
         for n in (10, 20, 40):
             dt = 1.0 / n
@@ -175,7 +176,7 @@ class TestPropagate:
         t_o = oracle_propagate(p, cfg)
         assert np.array_equal(t_m.times, t_o.times)
         assert np.abs(t_m.E_b - t_o.E_b).max() < 1e-8
-        overlap = np.vdot(t_m.final_state.amplitudes, t_o.final_state.amplitudes)
+        overlap = np.vdot(lift(p, t_m.final_amplitudes), t_o.final_amplitudes)
         assert 1.0 - abs(overlap) ** 2 < 1e-10
 
     def test_matches_oracle_at_production_size(self):
@@ -187,7 +188,7 @@ class TestPropagate:
         assert p.dims.total_dim == 8448
         assert np.array_equal(t_m.times, t_o.times)
         assert np.abs(t_m.E_b - t_o.E_b).max() < 1e-8
-        overlap = np.vdot(t_m.final_state.amplitudes, t_o.final_state.amplitudes)
+        overlap = np.vdot(lift(p, t_m.final_amplitudes), t_o.final_amplitudes)
         assert 1.0 - abs(overlap) ** 2 < 1e-10
 
     def test_oracle_decoupled_state_is_phase_rotation(self):
@@ -195,7 +196,7 @@ class TestPropagate:
         p = ModelParams(N=2, g=0.0, Omega=0.0, eta=0.0, N_ph=3, n_init=2)
         cfg = PropagationConfig(t_max=1.0, dt=0.05, sample_stride=5)
         traj = oracle_propagate(p, cfg)
-        final = traj.final_state.amplitudes
+        final = traj.final_amplitudes
         start = initial_state(p).amplitudes
         overlap = abs(np.vdot(start, final))
         assert overlap == pytest.approx(1.0, abs=1e-12)
@@ -242,6 +243,32 @@ class TestPropagate:
         p = ModelParams(N=4, N_ph=100)  # 16 * 101 > max_dim
         with pytest.raises(ResourceError):
             oracle_propagate(p, PropagationConfig(t_max=1.0, dt=0.1, max_dim=500))
+
+    def test_cap_bounds_the_stepped_dimension(self):
+        # N = 4, N_ph = 10: a sector of 10 * 11 = 110 and a full space of
+        # 16 * 11 = 176, on either side of the cap
+        p = ModelParams(N=4, N_ph=10, g=0.5, Omega=1.0, eta=0.8)
+        cfg = PropagationConfig(t_max=0.2, dt=0.01, sample_stride=10, max_dim=150)
+        assert propagate(p, cfg).final_amplitudes.shape == (110,)
+        with pytest.raises(ResourceError, match="total dimension 176 exceeds"):
+            oracle_propagate(p, cfg)
+
+    def test_default_cap_admits_the_n12_sector(self, monkeypatch):
+        # N = 12, N_ph = 48: a sector of 2080 * 49 = 101,920 under the
+        # default 200,000 and a full space of 200,704 over it.  Building the
+        # stepper means the check passed; the run stops there.
+        class Passed(Exception):
+            pass
+
+        def stop(*args):
+            raise Passed
+
+        monkeypatch.setattr(dynamics, "_Stepper", stop)
+        p = ModelParams(N=12, N_ph=48)
+        with pytest.raises(Passed):
+            propagate(p)
+        with pytest.raises(ResourceError, match="total dimension 200704 exceeds"):
+            oracle_propagate(p)
 
     def test_oracle_solver_failure_raises(self, monkeypatch):
         class Failed:
@@ -351,7 +378,7 @@ def _full_space_run(batch, cfg):
             Jz_mean=np.array([m.mean for m in moments]),
             norms=np.array([np.linalg.norm(state.amplitudes) for state in states]),
             params=p,
-            final_state=states[-1],
+            final_amplitudes=states[-1].amplitudes,
             edge_population=max(float(np.vdot(top, top).real) for top in tops),
             steps=steps,
         ))
@@ -380,7 +407,8 @@ class TestReflectionSector:
             for name in ("E_b", "P_b", "dE_b", "Jz_mean", "norms"):
                 assert np.abs(getattr(got, name) - getattr(want, name)).max() <= 1e-12, name
             assert abs(got.edge_population - want.edge_population) <= 1e-12
-            assert np.abs(got.final_state.amplitudes - want.final_state.amplitudes).max() <= 1e-12
+            lifted = lift(got.params, got.final_amplitudes)
+            assert np.abs(lifted - want.final_amplitudes).max() <= 1e-12
 
     def test_matches_oracle_on_geometric_chain(self):
         # a 4-site chain has couplings at every distance 1..3
@@ -391,7 +419,7 @@ class TestReflectionSector:
         t_o = oracle_propagate(p, cfg)
         assert np.array_equal(t_m.times, t_o.times)
         assert np.abs(t_m.E_b - t_o.E_b).max() < 1e-8
-        overlap = np.vdot(t_m.final_state.amplitudes, t_o.final_state.amplitudes)
+        overlap = np.vdot(lift(p, t_m.final_amplitudes), t_o.final_amplitudes)
         assert 1.0 - abs(overlap) ** 2 < 1e-10
 
     def test_kernel_acts_on_the_sector(self, monkeypatch):
@@ -408,7 +436,7 @@ class TestReflectionSector:
         # (2^3 + 2^2) / 2 = 6 even spin states, each with 5 photon levels
         assert steppers[0].spin_stack.shape == (2 * 6, 6)
         assert steppers[0].blocks == (slice(0, 6 * 5),)
-        assert traj.final_state.amplitudes.shape == (p.dims.total_dim,)
+        assert traj.final_amplitudes.shape == (6 * 5,)
 
 
 class TestStepperBuffer:
@@ -427,7 +455,7 @@ class TestStepperBuffer:
             for a, length, on in pieces:
                 amps, _, _ = _Stepper(p, full_spin_terms).advance(amps, a, length, on)
             energies.append(stored_energy(jz_moments(StateVector(p.dims, amps, norm_atol=1e-8)), p))
-        assert np.abs(traj.final_state.amplitudes - amps).max() < 1e-14
+        assert np.abs(lift(p, traj.final_amplitudes) - amps).max() < 1e-14
         assert np.abs(traj.E_b - energies).max() < 1e-14
 
 
@@ -518,7 +546,7 @@ class TestBatch:
             assert np.array_equal(traj.times, solo.times)
             for name in ("E_b", "dE_b", "Jz_mean"):
                 assert np.abs(getattr(traj, name) - getattr(solo, name)).max() <= 1e-8, name
-            assert traj.final_state.amplitudes.shape == (p.dims.total_dim,)
+            assert traj.final_amplitudes.shape == (even_sector_dim(p.N) * p.dims.boson_dim,)
             assert 0.0 < traj.step_error <= 10 * MAGNUS_TOL * self.CFG.t_max
 
     def test_batch_of_one_is_the_solo_run(self):
@@ -609,8 +637,8 @@ class TestBatch:
         assert cached and set(cached) == {0}
 
     def test_dimension_cap_per_block(self, monkeypatch):
-        # max_dim bounds each block's full joint dimension, checked before
-        # any block's factors are built
+        # max_dim bounds each block's sector dimension (10 x 101 = 1,010 for
+        # the large one), checked before any block's factors are built
         built = []
         for name in ("build_H_battery", "build_H_static", "drive_operator", "even_spin_terms",
                      "full_spin_terms"):
@@ -680,7 +708,7 @@ class TestSampleToSample:
             h = (t1 - t0) / substeps
             for i in range(substeps):
                 state = step_magnus4(state, t0 + i * h, h, p)
-        deviation = np.linalg.norm(traj.final_state.amplitudes - state.amplitudes)
+        deviation = np.linalg.norm(lift(p, traj.final_amplitudes) - state.amplitudes)
         assert max(counts) > 1
         assert deviation <= 20 * MAGNUS_TOL * cfg.t_max
         assert traj.step_error >= deviation

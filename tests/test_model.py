@@ -14,6 +14,7 @@ from dickeqb.model import (
     dipole_coupling,
     drive_coefficient,
     drive_operator,
+    even_sector_dim,
     even_spin_terms,
     full_spin_terms,
     initial_state,
@@ -432,6 +433,11 @@ class TestSiteReflection:
     def test_isometry_is_read_only(self):
         with pytest.raises(ValueError):
             reflection_isometry(3).data[0] = 2.0
+
+    def test_sector_dim_is_the_isometry_width(self):
+        # the closed form max_dim is checked with, against the built sector
+        for n_atoms in range(1, 13):
+            assert even_sector_dim(n_atoms) == reflection_isometry(n_atoms).shape[1]
 
 
 class TestDrive:
