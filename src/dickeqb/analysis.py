@@ -67,10 +67,18 @@ def find_max(trajectory: Trajectory, series: str) -> MaxRecord:
     return MaxRecord(t_star=t_star, value=value, series_name=series)
 
 
-def _check_finite(*arrays: np.ndarray) -> None:
-    """A fit of NaN or infinite values has no meaning: raise DomainError."""
-    if not all(np.isfinite(arr).all() for arr in arrays):
+def _fit_input(kind: str, Ns, values, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """Ns and values as float arrays, checked: 1-d, of equal length, at least
+    3 points, all finite (a fit of NaN or infinite values has no meaning)."""
+    n_arr = np.asarray(Ns, dtype=float)
+    y_arr = np.asarray(values, dtype=float)
+    if n_arr.shape != y_arr.shape or n_arr.ndim != 1:
+        raise DomainError(f"Ns and {name} must be 1-d sequences of equal length")
+    if len(n_arr) < 3:
+        raise DomainError(f"{kind} fit needs at least 3 points, got {len(n_arr)}")
+    if not (np.isfinite(n_arr).all() and np.isfinite(y_arr).all()):
         raise DomainError("fit requires finite N and values")
+    return n_arr, y_arr
 
 
 def _least_squares(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
@@ -87,13 +95,7 @@ def _least_squares(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
 
 def fit_power_law(Ns, P_maxes) -> FitResult:
     """Least squares on (log N, log P): alpha = slope, beta = exp(intercept)."""
-    n_arr = np.asarray(Ns, dtype=float)
-    p_arr = np.asarray(P_maxes, dtype=float)
-    if n_arr.shape != p_arr.shape or n_arr.ndim != 1:
-        raise DomainError("Ns and P_maxes must be 1-d sequences of equal length")
-    if len(n_arr) < 3:
-        raise DomainError(f"power-law fit needs at least 3 points, got {len(n_arr)}")
-    _check_finite(n_arr, p_arr)
+    n_arr, p_arr = _fit_input("power-law", Ns, P_maxes, "P_maxes")
     if np.any(n_arr <= 0) or np.any(p_arr <= 0):
         raise DomainError("power-law fit requires strictly positive values")
     slope, intercept, r2 = _least_squares(np.log(n_arr), np.log(p_arr))
@@ -103,14 +105,7 @@ def fit_power_law(Ns, P_maxes) -> FitResult:
 
 def fit_linear(Ns, E_maxes) -> tuple[float, float, float]:
     """Ordinary least squares in linear coordinates: (slope, intercept, r^2)."""
-    n_arr = np.asarray(Ns, dtype=float)
-    e_arr = np.asarray(E_maxes, dtype=float)
-    if n_arr.shape != e_arr.shape or n_arr.ndim != 1:
-        raise DomainError("Ns and E_maxes must be 1-d sequences of equal length")
-    if len(n_arr) < 3:
-        raise DomainError(f"linear fit needs at least 3 points, got {len(n_arr)}")
-    _check_finite(n_arr, e_arr)
-    return _least_squares(n_arr, e_arr)
+    return _least_squares(*_fit_input("linear", Ns, E_maxes, "E_maxes"))
 
 
 def convergence_check(params: ModelParams, delta_ph: int,

@@ -19,8 +19,8 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass, field, fields, replace
-from itertools import product
+from dataclasses import fields, replace
+from itertools import groupby, product
 from pathlib import Path
 
 from dickeqb import analysis, observables
@@ -134,18 +134,12 @@ def _model_params(cfg: dict, **overrides) -> ModelParams:
     kwargs.update(overrides)
     if "N" not in kwargs:
         raise ConfigError("config must set the atom count N")
-    try:
-        return ModelParams(**_numbers(kwargs))
-    except DomainError as exc:
-        raise ConfigError(str(exc)) from exc
+    return ModelParams(**_numbers(kwargs))
 
 
 def _prop_config(cfg: dict) -> PropagationConfig:
     kwargs = {k: _require_scalar(cfg, k) for k in PROP_KEYS if k in cfg}
-    try:
-        return PropagationConfig(**_numbers(kwargs))
-    except DomainError as exc:
-        raise ConfigError(str(exc)) from exc
+    return PropagationConfig(**_numbers(kwargs))
 
 
 def _value_list(cfg: dict, key: str, default) -> list:
@@ -161,9 +155,27 @@ def _value_list(cfg: dict, key: str, default) -> list:
     return values
 
 
+def _grid(cfg: dict, axes: tuple, **fixed) -> list:
+    """ModelParams over the product of the sorted ``axes``, the last axis
+    innermost; every other key of ``cfg``, and ``fixed``, is shared by all
+    points."""
+    values = [_value_list(cfg, k, [0.0]) for k in axes]
+    size = math.prod(len(v) for v in values)
+    grid_cap = _number("grid_cap", cfg.get("grid_cap", GRID_CAP_DEFAULT))
+    if size > grid_cap:
+        raise ConfigError(f"grid size {size} exceeds cap {grid_cap}")
+    base = {k: v for k, v in cfg.items() if k not in axes and k != "grid_cap"}
+    return [_model_params(base, **dict(zip(axes, point)), **fixed) for point in product(*values)]
+
+
 def _out_dir(args) -> Path:
+    """The --out directory, created if missing; called once the config is
+    checked and before any propagation or solve."""
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
     return out
 
 
@@ -197,7 +209,8 @@ def cmd_evolve(args) -> int:
     pcfg = _prop_config(cfg)
     out = _out_dir(args)
     traj = propagate(params, pcfg)
-    traj.to_csv(out / "trajectory.csv")
+    _write_csv(out / "trajectory.csv", ["t", "E_b", "P_b", "dE_b", "Jz_mean", "norm"],
+               zip(traj.times, traj.E_b, traj.P_b, traj.dE_b, traj.Jz_mean, traj.norms))
     _write_json(out / "summary.json", _summarize(traj))
     print(f"wrote {out / 'trajectory.csv'} and {out / 'summary.json'}")
     _warn_edge_population(params, traj.edge_population)
@@ -228,8 +241,6 @@ def _sweep_cell(task):
 def _run_pool(worker, tasks, jobs: int):
     """worker over tasks, in order, on at most ``jobs`` processes and never
     more processes than tasks."""
-    if jobs < 1:
-        raise ConfigError(f"--jobs must be at least 1, got {jobs}")
     workers = min(jobs, len(tasks))
     if workers <= 1:
         return [worker(t) for t in tasks]
@@ -241,51 +252,20 @@ def _run_pool(worker, tasks, jobs: int):
         return list(pool.map(worker, tasks))
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """Cartesian grid over (g, Omega, eta, N) plus the fixed remainder."""
-
-    g: list
-    Omega: list
-    eta: list
-    N: list
-    base: dict = field(default_factory=dict)
-    prop: PropagationConfig = field(default_factory=PropagationConfig)
-    grid_cap: int = GRID_CAP_DEFAULT
-
-    @classmethod
-    def from_config(cls, cfg: dict) -> "SweepSpec":
-        if "N" not in cfg:
-            raise ConfigError("sweep config must set N (scalar or list)")
-        axes = {k: _value_list(cfg, k, [0.0]) for k in SWEEP_AXES}
-        base = {k: v for k, v in cfg.items() if k not in SWEEP_AXES and k != "grid_cap"}
-        return cls(base=base, prop=_prop_config(base),
-                   grid_cap=_number("grid_cap", cfg.get("grid_cap", GRID_CAP_DEFAULT)), **axes)
-
-    @property
-    def size(self) -> int:
-        return len(self.g) * len(self.Omega) * len(self.eta) * len(self.N)
-
-    def points(self):
-        """Grid points in deterministic order: sorted axes, g-major."""
-        if self.size > self.grid_cap:
-            raise ConfigError(f"grid size {self.size} exceeds cap {self.grid_cap}")
-        for g, om, eta, n in product(self.g, self.Omega, self.eta, self.N):
-            yield _model_params(self.base, g=g, Omega=om, eta=eta, N=n)
-
-
 def cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
     _check_keys(cfg, MODEL_KEYS | PROP_KEYS | {"grid_cap"}, "sweep")
-    spec = SweepSpec.from_config(cfg)
-    points = list(spec.points())
+    if "N" not in cfg:
+        raise ConfigError("sweep config must set N (scalar or list)")
+    pcfg = _prop_config(cfg)
+    points = _grid(cfg, SWEEP_AXES)
+    out = _out_dir(args)
     # N is the innermost axis, so each cell's points are consecutive; the
     # cells, not --jobs, decide which points are propagated together.
-    cells = [points[i:i + len(spec.N)] for i in range(0, len(points), len(spec.N))]
-    tasks = [(cell, spec.prop) for cell in cells]
+    cells = [list(cell) for _, cell in groupby(points, lambda p: (p.g, p.Omega, p.eta))]
+    tasks = [(cell, pcfg) for cell in cells]
     results = [point for cell in _run_pool(_sweep_cell, tasks, args.jobs) for point in cell]
     rows = [row for row, _ in results]
-    out = _out_dir(args)
     _write_csv(
         out / "sweep.csv",
         ["g", "Omega", "eta", "N", "E_max", "P_max", "t_star_E", "t_star_P"],
@@ -332,35 +312,22 @@ def cmd_fit(args) -> int:
         )
     if len(rows) < 3:
         raise ConfigError(f"fit needs at least 3 rows, got {len(rows)}")
-    meta = {"source": str(args.csv), "series": series, "mode": args.mode}
     if args.mode == "power":
         fit = analysis.fit_power_law(n_list, y_list)
-        payload = {
-            "mode": "power",
-            "alpha": fit.alpha,
-            "beta": fit.beta,
-            "r_squared": fit.r_squared,
-            "n_points": fit.n_points,
-            "N_list": n_list,
-            "P_list": y_list,
-            "params": meta,
-        }
-        echo = f"alpha={fit.alpha:.6g} beta={fit.beta:.6g} r2={fit.r_squared:.6g}"
+        result = {"alpha": fit.alpha, "beta": fit.beta, "r_squared": fit.r_squared}
     else:
         slope, intercept, r2 = analysis.fit_linear(n_list, y_list)
-        payload = {
-            "mode": "linear",
-            "slope": slope,
-            "intercept": intercept,
-            "r_squared": r2,
-            "n_points": len(n_list),
-            "N_list": n_list,
-            "E_list": y_list,
-            "params": meta,
-        }
-        echo = f"slope={slope:.6g} intercept={intercept:.6g} r2={r2:.6g}"
+        result = {"slope": slope, "intercept": intercept, "r_squared": r2}
     out = _out_dir(args)
-    _write_json(out / "fit.json", payload)
+    _write_json(out / "fit.json", {
+        **result,
+        "mode": args.mode,
+        "n_points": len(n_list),
+        "N_list": n_list,
+        series.replace("_max", "_list"): y_list,
+        "params": {"source": str(args.csv), "series": series, "mode": args.mode},
+    })
+    echo = " ".join(f"{'r2' if k == 'r_squared' else k}={v:.6g}" for k, v in result.items())
     print(
         f"fit[{args.mode}] over N in [{min(n_list):g}, {max(n_list):g}] "
         f"({len(n_list)} points): {echo}"
@@ -380,22 +347,13 @@ def _phase_point(task):
 def cmd_phase_diagram(args) -> int:
     cfg = _load_config(args.config)
     _check_keys(cfg, PHASE_KEYS, "phase-diagram")
-    etas = _value_list(cfg, "eta", [0.0])
-    gs = _value_list(cfg, "g", [0.0])
-    grid_cap = _number("grid_cap", cfg.get("grid_cap", GRID_CAP_DEFAULT))
-    if len(etas) * len(gs) > grid_cap:
-        raise ConfigError(f"grid size {len(etas) * len(gs)} exceeds cap {grid_cap}")
-    base_cfg = {k: v for k, v in cfg.items() if k not in ("eta", "g", "grid_cap")}
     # n_init only sets the propagation's initial state; 0 is valid at any N_ph.
-    tasks = [
-        _model_params(base_cfg, eta=eta, g=g, n_init=0)
-        for eta in etas
-        for g in gs
-    ]
+    tasks = _grid(cfg, ("eta", "g"), n_init=0)
     # The default max_dim of evolve, sweep and convergence, on the full
     # space the ground state is solved in, checked before any Hamiltonian
     # is assembled.
     _check_dim(tasks[0].dims.total_dim, PropagationConfig.max_dim, "total")
+    out = _out_dir(args)
     results = _run_pool(_phase_point, tasks, args.jobs)
     warnings = 0
     rows = []
@@ -404,7 +362,6 @@ def cmd_phase_diagram(args) -> int:
             warnings += 1
             print(f"warning: ground state failed at eta={eta} g={g}: {err}", file=sys.stderr)
         rows.append((eta, g, mag, gap))
-    out = _out_dir(args)
     _write_csv(out / "phase_diagram.csv", ["eta", "g", "magnetization", "gap"], rows)
     print(f"wrote {out / 'phase_diagram.csv'} ({len(rows)} points, {warnings} warnings)")
     return 0
@@ -417,6 +374,7 @@ def cmd_convergence(args) -> int:
     base_cfg = {k: v for k, v in cfg.items() if k != "delta_ph"}
     params = _model_params(base_cfg)
     pcfg = _prop_config(base_cfg)
+    out = _out_dir(args)
     checks = []
     for factor in (2, 3, 4):
         trial = replace(params, N_ph=factor * params.N)
@@ -431,7 +389,6 @@ def cmd_convergence(args) -> int:
         "checks": checks,
         "all_pass": all(c["pass"] for c in checks),
     }
-    out = _out_dir(args)
     _write_json(out / "convergence.json", payload)
     print(f"wrote {out / 'convergence.json'}")
     return 0
@@ -468,6 +425,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if getattr(args, "jobs", 1) < 1:
+            raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
         return args.func(args)
     except (ConfigError, DomainError, ResourceError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -193,14 +193,6 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.times)
 
-    def to_csv(self, path) -> None:
-        """Write columns t, E_b, P_b, dE_b, Jz_mean, norm (12 significant digits)."""
-        columns = (self.times, self.E_b, self.P_b, self.dE_b, self.Jz_mean, self.norms)
-        with open(path, "w", newline="\n") as fh:
-            fh.write("t,E_b,P_b,dE_b,Jz_mean,norm\n")
-            for row in zip(*columns):
-                fh.write(",".join("%.12g" % x for x in row) + "\n")
-
 
 class CsrExpm:
     """Applies exp(scale * M) @ v by a Taylor series over M's matvec.

@@ -52,10 +52,11 @@ class TestEvolve:
         cfg = write_config(tmp_path, **EVOLVE_CFG)
         rc = cli.main(["evolve", "--config", cfg, "--out", str(tmp_path / "run")])
         assert rc == 0
+        assert b"\r" not in (tmp_path / "run" / "trajectory.csv").read_bytes()
         header, rows = read_csv(tmp_path / "run" / "trajectory.csv")
         assert header == ["t", "E_b", "P_b", "dE_b", "Jz_mean", "norm"]
         assert len(rows) == 11  # t=0 plus 10 sampled steps
-        assert float(rows[0]["t"]) == 0.0
+        assert rows[0]["t"] == "0"
         assert float(rows[-1]["t"]) == pytest.approx(1.0)
         for row in rows:
             assert abs(float(row["norm"]) - 1.0) < 1e-8
@@ -156,10 +157,17 @@ class TestSweep:
         got = [(float(r["g"]), int(r["N"])) for r in rows]
         assert got == [(0.1, 1), (0.1, 2), (0.3, 1), (0.3, 2)]  # sorted, g-major
 
-    def test_grid_cap(self, tmp_path):
-        cfg = write_config(tmp_path, N=[1, 2], g=[0.1, 0.2], grid_cap=3,
-                           t_max=0.2, dt=0.01)
-        assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
+    @pytest.mark.parametrize("command, grid", [
+        ("sweep", dict(N=[1, 2], g=[0.1, 0.2], t_max=0.2, dt=0.01)),
+        ("phase-diagram", dict(N=1, N_ph=2, eta=[0.0, 0.5], g=[0.1, 0.2])),
+    ], ids=["sweep", "phase-diagram"])
+    def test_grid_cap(self, tmp_path, capsys, command, grid):
+        over = write_config(tmp_path, "over.json", grid_cap=3, **grid)
+        assert cli.main([command, "--config", over, "--out", str(tmp_path / "over")]) == 2
+        assert capsys.readouterr().err == "error: grid size 4 exceeds cap 3\n"
+        assert not (tmp_path / "over").exists()
+        at_cap = write_config(tmp_path, "at_cap.json", grid_cap=4, **grid)
+        assert cli.main([command, "--config", at_cap, "--out", str(tmp_path / "at_cap")]) == 0
 
     @pytest.mark.parametrize("bad", [{"N": [1, "a"]}, {"g": [0.1, False]}, {"grid_cap": "x"}])
     def test_wrong_type_is_config_error(self, tmp_path, capsys, bad):
@@ -295,6 +303,8 @@ class TestFit:
         assert fit["n_points"] == 6
         assert fit["N_list"] == [1, 2, 3, 4, 5, 6]
         assert fit["params"]["series"] == "P_max"
+        assert set(fit) == {"mode", "alpha", "beta", "r_squared", "n_points", "N_list",
+                            "P_list", "params"}
 
     def test_linear_mode(self, tmp_path):
         csv_path = self.make_power_csv(tmp_path)
@@ -303,6 +313,8 @@ class TestFit:
         assert fit["mode"] == "linear"
         assert fit["slope"] == pytest.approx(0.9, abs=1e-12)
         assert fit["r_squared"] == pytest.approx(1.0, abs=1e-12)
+        assert set(fit) == {"mode", "slope", "intercept", "r_squared", "n_points", "N_list",
+                            "E_list", "params"}
 
     def test_too_few_rows(self, tmp_path):
         path = tmp_path / "short.csv"
@@ -465,6 +477,35 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             cli.main(["explode"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+    @pytest.mark.parametrize("command", ["evolve", "sweep", "fit", "phase-diagram",
+                                         "convergence"])
+    def test_unusable_out_is_usage_error(self, tmp_path, capsys, monkeypatch, command, under):
+        # an --out that is a file, or lies under one, is refused before any
+        # propagation or ground-state solve
+        def refuse(*args):
+            raise AssertionError("work started before --out was resolved")
+
+        for owner, name in [(cli, "propagate"), (cli, "static_hamiltonian"),
+                            (cli.analysis, "convergence_check")]:
+            monkeypatch.setattr(owner, name, refuse)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        fit_csv = tmp_path / "sweep.csv"
+        fit_csv.write_text("N,P_max\n1,1.0\n2,2.8\n3,5.2\n")
+        cfg = {
+            "evolve": EVOLVE_CFG,
+            "sweep": dict(EVOLVE_CFG, N=[1, 2]),
+            "phase-diagram": dict(N=1, N_ph=2, eta=[0.0], g=[0.1]),
+            "convergence": dict(N=1, t_max=0.2, dt=0.01),
+        }.get(command)
+        source = [str(fit_csv)] if cfg is None else ["--config", write_config(tmp_path, **cfg)]
+        out = taken / "sub" if under else taken
+        assert cli.main([command, *source, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: cannot create output directory {out}: ")
+        assert taken.read_text() == ""
 
     def test_import_leaves_out_solvers_and_process_pool(self):
         # scipy.integrate serves only the oracle; scipy.sparse.linalg and the

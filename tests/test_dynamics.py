@@ -714,30 +714,6 @@ class TestSampleToSample:
         assert traj.step_error >= deviation
 
 
-class TestTrajectoryCsv:
-    def test_csv_format(self, tmp_path):
-        p = ModelParams(N=1, g=0.2, N_ph=2, n_init=1)
-        traj = propagate(p, PropagationConfig(t_max=0.3, dt=0.1, sample_stride=1))
-        path = tmp_path / "traj.csv"
-        traj.to_csv(path)
-        raw = path.read_bytes()
-        assert b"\r" not in raw
-        lines = raw.decode().splitlines()
-        assert lines[0] == "t,E_b,P_b,dE_b,Jz_mean,norm"
-        assert len(lines) == 1 + len(traj)
-        first = lines[1].split(",")
-        assert first[0] == "0"
-        assert float(first[5]) == pytest.approx(1.0)
-
-    def test_csv_deterministic(self, tmp_path):
-        p = ModelParams(N=1, g=0.2, Omega=0.4, N_ph=3, n_init=1)
-        cfg = PropagationConfig(t_max=0.5, dt=0.05, sample_stride=2)
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        propagate(p, cfg).to_csv(a)
-        propagate(p, cfg).to_csv(b)
-        assert a.read_bytes() == b.read_bytes()
-
-
 def _inf_norm(mat):
     return float(abs(mat).sum(axis=1).max()) if mat.nnz else 0.0
 

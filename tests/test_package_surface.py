@@ -5,7 +5,8 @@ A module-level function or class of ``src/dickeqb`` must be exported in
 definition.  Every method, other than a dunder method, that a package class
 defines must be the attribute of some use in the package whose root is not
 an imported module: ``np.linalg.norm`` does not use a method ``norm``.  Code
-that only the tests call belongs in ``tests/reference.py``.
+that only the tests call belongs in ``tests/reference.py``.  Only ``cli.py``
+calls ``open``: the CLI does all the package's file I/O.
 """
 
 import ast
@@ -77,3 +78,12 @@ def test_every_method_is_used():
               and not (node.name.startswith("__") and node.name.endswith("__"))
               and node.name not in used]
     assert unused == []
+
+
+def test_only_the_cli_opens_files():
+    trees, _ = parse_package()
+    openers = sorted({module for module, tree in trees.items()
+                      for node in ast.walk(tree) if isinstance(node, ast.Call)
+                      and "open" in (getattr(node.func, "id", None),
+                                     getattr(node.func, "attr", None))})
+    assert openers == ["cli.py"]
