@@ -21,6 +21,7 @@ import math
 import sys
 from dataclasses import fields, replace
 from itertools import groupby, product
+from operator import attrgetter
 from pathlib import Path
 
 from dickeqb import analysis, observables
@@ -36,9 +37,12 @@ from dickeqb.model import ModelParams, static_hamiltonian
 
 MODEL_KEYS = {f.name for f in fields(ModelParams)}
 PROP_KEYS = {f.name for f in fields(PropagationConfig)}
-SWEEP_AXES = ("g", "Omega", "eta", "N")
-# Sweep columns that name a cell: fit takes the N series of one cell.
-FIT_CELL_KEYS = ("g", "Omega", "eta")
+# sweep.csv's columns: the grid axes, N innermost, then each point's maxima.
+# The axes before N name a cell, whose N series sweep propagates as one batch
+# and fit takes one of.
+SWEEP_COLUMNS = ("g", "Omega", "eta", "N", "E_max", "P_max", "t_star_E", "t_star_P")
+SWEEP_AXES = SWEEP_COLUMNS[:4]
+CELL_KEYS = SWEEP_AXES[:3]
 GRID_CAP_DEFAULT = 10_000
 PHASE_KEYS = (MODEL_KEYS - {"Omega", "omegad", "T", "n_init"}) | {"grid_cap"}
 
@@ -60,17 +64,21 @@ def _fmt(x) -> str:
     return "%.12g" % x
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
+def _write(path: Path, text: str) -> None:
+    try:
+        with open(path, "w", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
+def _write_csv(path: Path, header, rows) -> None:
+    lines = [",".join(header)] + [",".join(_fmt(x) for x in row) for row in rows]
+    _write(path, "\n".join(lines) + "\n")
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _load_config(path) -> dict:
@@ -95,13 +103,6 @@ def _check_keys(cfg: dict, allowed: set, command: str) -> None:
         )
 
 
-def _require_scalar(cfg: dict, key: str):
-    value = cfg[key]
-    if isinstance(value, (list, dict)):
-        raise ConfigError(f"key {key!r} must be a scalar here, got {type(value).__name__}")
-    return value
-
-
 INT_KEYS = ("N", "N_ph", "n_init", "sample_stride", "max_dim", "grid_cap", "delta_ph")
 TEXT_KEYS = ("coupling_mode",)
 NULLABLE_KEYS = ("N_ph", "n_init", "T")  # fields that take None
@@ -124,22 +125,22 @@ def _number(key: str, value):
     return value
 
 
-def _numbers(kwargs: dict) -> dict:
-    # Sorted, so the key an error names does not depend on set iteration order.
-    return {k: v if k in TEXT_KEYS else _number(k, v) for k, v in sorted(kwargs.items())}
+def _scalars(cfg: dict, keys) -> dict:
+    """``cfg``'s entries named in ``keys``, each but coupling_mode checked by
+    ``_number``, in sorted order so that an error names a fixed key."""
+    return {k: cfg[k] if k in TEXT_KEYS else _number(k, cfg[k])
+            for k in sorted(keys & cfg.keys())}
 
 
 def _model_params(cfg: dict, **overrides) -> ModelParams:
-    kwargs = {k: _require_scalar(cfg, k) for k in MODEL_KEYS if k in cfg}
-    kwargs.update(overrides)
+    kwargs = {**_scalars(cfg, MODEL_KEYS), **overrides}
     if "N" not in kwargs:
         raise ConfigError("config must set the atom count N")
-    return ModelParams(**_numbers(kwargs))
+    return ModelParams(**kwargs)
 
 
 def _prop_config(cfg: dict) -> PropagationConfig:
-    kwargs = {k: _require_scalar(cfg, k) for k in PROP_KEYS if k in cfg}
-    return PropagationConfig(**_numbers(kwargs))
+    return PropagationConfig(**_scalars(cfg, PROP_KEYS))
 
 
 def _value_list(cfg: dict, key: str, default) -> list:
@@ -164,7 +165,7 @@ def _grid(cfg: dict, axes: tuple, **fixed) -> list:
     grid_cap = _number("grid_cap", cfg.get("grid_cap", GRID_CAP_DEFAULT))
     if size > grid_cap:
         raise ConfigError(f"grid size {size} exceeds cap {grid_cap}")
-    base = {k: v for k, v in cfg.items() if k not in axes and k != "grid_cap"}
+    base = {k: v for k, v in cfg.items() if k not in axes}
     return [_model_params(base, **dict(zip(axes, point)), **fixed) for point in product(*values)]
 
 
@@ -224,16 +225,7 @@ def _sweep_cell(task):
     out = []
     for params, traj in zip(batch, propagate(batch, pcfg)):
         s = _summarize(traj)
-        row = (
-            params.g,
-            params.Omega,
-            params.eta,
-            params.N,
-            s["E_max"],
-            s["P_max"],
-            s["t_star_E"],
-            s["t_star_P"],
-        )
+        row = tuple(getattr(params, k) if k in SWEEP_AXES else s[k] for k in SWEEP_COLUMNS)
         out.append((row, traj.edge_population))
     return out
 
@@ -262,15 +254,11 @@ def cmd_sweep(args) -> int:
     out = _out_dir(args)
     # N is the innermost axis, so each cell's points are consecutive; the
     # cells, not --jobs, decide which points are propagated together.
-    cells = [list(cell) for _, cell in groupby(points, lambda p: (p.g, p.Omega, p.eta))]
+    cells = [list(cell) for _, cell in groupby(points, attrgetter(*CELL_KEYS))]
     tasks = [(cell, pcfg) for cell in cells]
     results = [point for cell in _run_pool(_sweep_cell, tasks, args.jobs) for point in cell]
     rows = [row for row, _ in results]
-    _write_csv(
-        out / "sweep.csv",
-        ["g", "Omega", "eta", "N", "E_max", "P_max", "t_star_E", "t_star_P"],
-        rows,
-    )
+    _write_csv(out / "sweep.csv", SWEEP_COLUMNS, rows)
     print(f"wrote {out / 'sweep.csv'} ({len(rows)} grid points)")
     # Printed here, in grid order, so the worker count cannot reorder them.
     for params, (_, edge_population) in zip(points, results):
@@ -285,7 +273,7 @@ def cmd_fit(args) -> int:
             reader = csv.DictReader(fh)
             if reader.fieldnames is None or not {"N", series} <= set(reader.fieldnames):
                 raise ConfigError(f"{args.csv} must contain columns N and {series}")
-            cell_keys = [k for k in FIT_CELL_KEYS if k in reader.fieldnames]
+            cell_keys = [k for k in CELL_KEYS if k in reader.fieldnames]
             rows = [
                 (float(r["N"]), float(r[series]), tuple(float(r[k]) for k in cell_keys))
                 for r in reader
@@ -310,8 +298,6 @@ def cmd_fit(args) -> int:
             f"N repeats in {args.csv} ({', '.join(f'{n:g}' for n in repeated)}); "
             "fit needs one row per N"
         )
-    if len(rows) < 3:
-        raise ConfigError(f"fit needs at least 3 rows, got {len(rows)}")
     if args.mode == "power":
         fit = analysis.fit_power_law(n_list, y_list)
         result = {"alpha": fit.alpha, "beta": fit.beta, "r_squared": fit.r_squared}
@@ -335,8 +321,7 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def _phase_point(task):
-    params = task
+def _phase_point(params):
     try:
         result = observables.ground_state(static_hamiltonian(params), params.dims)
         return (params.eta, params.g, result.magnetization, result.gap, "")
@@ -371,9 +356,11 @@ def cmd_convergence(args) -> int:
     cfg = _load_config(args.config)
     _check_keys(cfg, (MODEL_KEYS - {"N_ph"}) | PROP_KEYS | {"delta_ph"}, "convergence")
     delta_ph = _number("delta_ph", cfg.get("delta_ph", 4))
-    base_cfg = {k: v for k, v in cfg.items() if k != "delta_ph"}
-    params = _model_params(base_cfg)
-    pcfg = _prop_config(base_cfg)
+    # Also checked by analysis.convergence_check, which runs after --out exists.
+    if delta_ph < 1:
+        raise ConfigError(f"delta_ph must be >= 1, got {delta_ph}")
+    params = _model_params(cfg)
+    pcfg = _prop_config(cfg)
     out = _out_dir(args)
     checks = []
     for factor in (2, 3, 4):

@@ -103,7 +103,7 @@ from dickeqb.model import (
     full_spin_terms,
     initial_state,
 )
-from dickeqb.operators import require_int
+from dickeqb.operators import require_float_fields, require_int
 
 # Gauss-Legendre nodes of one step and the weight of the node commutator in
 # the Magnus-4 exponent.
@@ -146,8 +146,7 @@ class PropagationConfig:
     max_dim: int = 200_000
 
     def __post_init__(self):
-        if not (math.isfinite(self.dt) and math.isfinite(self.t_max)):
-            raise DomainError(f"dt and t_max must be finite, got dt={self.dt} t_max={self.t_max}")
+        require_float_fields(self)
         if self.dt <= 0:
             raise DomainError(f"dt must be positive, got {self.dt}")
         if self.t_max < self.dt:
@@ -703,12 +702,8 @@ def propagate(params, cfg: PropagationConfig | None = None):
     anything is built, and IntegrationError when an entry's norm drifts
     beyond 1e-6.
     """
-    trajectories = _magnus4_batch(_batch(params), cfg or PropagationConfig())
-    return trajectories[0] if isinstance(params, ModelParams) else trajectories
-
-
-def _magnus4_batch(batch, cfg: PropagationConfig) -> list:
-    """magnus4 trajectories of a batch, stepped as one block-diagonal system."""
+    batch = _batch(params)
+    cfg = cfg or PropagationConfig()
     for p in batch:
         _check_dim(even_sector_dim(p.N) * p.dims.boson_dim, cfg.max_dim, "sector")
     stepper = _Stepper(batch, even_spin_terms)
@@ -726,7 +721,8 @@ def _magnus4_batch(batch, cfg: PropagationConfig) -> list:
             steps += n
             step_errors += errors
         recorder.record(t1, amps)
-    return recorder.build(stepper.unpack(amps), steps=steps, step_errors=step_errors)
+    trajectories = recorder.build(stepper.unpack(amps), steps=steps, step_errors=step_errors)
+    return trajectories[0] if isinstance(params, ModelParams) else trajectories
 
 
 def oracle_propagate(params: ModelParams, cfg: PropagationConfig | None = None) -> Trajectory:

@@ -26,7 +26,7 @@ goes back to the full basis through ``reflection_isometry``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -34,7 +34,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from dickeqb.errors import DomainError
-from dickeqb.operators import HilbertDims, StateVector, require_int
+from dickeqb.operators import HilbertDims, StateVector, require_float_fields, require_int
 
 # Flip-flop couplings fall off as 1/|i-j|^3 and are dropped beyond this
 # many lattice offsets.
@@ -81,10 +81,7 @@ class ModelParams:
     c_light: float = 1.0
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, (float, np.floating)) and not math.isfinite(value):
-                raise DomainError(f"{f.name} must be finite, got {value}")
+        require_float_fields(self)
         require_int("N", self.N)
         require_int("N_ph", self.photon_cutoff)
         require_int("n_init", self.initial_photons)

@@ -12,7 +12,9 @@ space, and so do the model's operators, which are plain real CSR matrices
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+import numbers
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -26,6 +28,22 @@ def require_int(name: str, value) -> None:
     bool is rejected, although Python counts it as one."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise DomainError(f"{name} must be an integer, got {value!r}")
+
+
+def require_float_fields(obj) -> None:
+    """Raise DomainError unless every field of the dataclass ``obj``
+    annotated ``float`` holds a finite real number, and every field annotated
+    ``float | None`` holds one or None.  A real number is a Python or NumPy
+    integer or float, an int of any size included, but not a bool.  The
+    annotations are read as the strings ``from __future__ import annotations``
+    leaves."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if f.type == "float" or (f.type == "float | None" and value is not None):
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise DomainError(f"{f.name} must be a real number, got {value!r}")
+            if isinstance(value, (float, np.floating)) and not math.isfinite(value):
+                raise DomainError(f"{f.name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)

@@ -316,26 +316,32 @@ class TestFit:
         assert set(fit) == {"mode", "slope", "intercept", "r_squared", "n_points", "N_list",
                             "E_list", "params"}
 
-    def test_too_few_rows(self, tmp_path):
+    def test_too_few_rows(self, tmp_path, capsys):
         path = tmp_path / "short.csv"
         path.write_text("N,P_max\n1,1.0\n2,2.0\n")
         assert cli.main(["fit", str(path), "--mode", "power", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "error: power-law fit needs at least 3 points, got 2\n"
 
     def test_missing_column(self, tmp_path):
         path = tmp_path / "cols.csv"
         path.write_text("N,foo\n1,1\n2,2\n3,3\n")
         assert cli.main(["fit", str(path), "--mode", "power", "--out", str(tmp_path)]) == 2
 
-    def test_several_cells_rejected(self, tmp_path, capsys):
+    @pytest.mark.parametrize("key", ["g", "Omega", "eta"])
+    def test_several_cells_rejected(self, tmp_path, capsys, key):
+        # rows that differ in any one of g, Omega, eta belong to two cells
+        cells = [{"g": 0.5, "Omega": 1, "eta": 0.8, key: value} for value in (0.1, 2)]
         path = tmp_path / "sweep.csv"
         lines = ["g,Omega,eta,N,E_max,P_max,t_star_E,t_star_P"]
-        for g in (0.1, 2):
-            lines += [f"{g},1,0.8,{n},{0.9 * n},{g * n**1.5},1,1" for n in (1, 2, 3)]
+        for c in cells:
+            lines += [f"{c['g']},{c['Omega']},{c['eta']},{n},{0.9 * n},{n**1.5},1,1"
+                      for n in (1, 2, 3)]
         path.write_text("\n".join(lines) + "\n")
         assert cli.main(["fit", str(path), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:")
-        assert "g=0.1 Omega=1 eta=0.8" in err and "g=2 Omega=1 eta=0.8" in err
+        for c in cells:
+            assert f"g={c['g']:g} Omega={c['Omega']:g} eta={c['eta']:g}" in err
         assert not (tmp_path / "fit.json").exists()
 
     @pytest.mark.parametrize("bad", ["nan", "inf"])
@@ -449,6 +455,13 @@ class TestConvergence:
         assert cli.main(["convergence", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith("error: key")
 
+    def test_delta_ph_checked_before_out(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, N=2, delta_ph=0)
+        out = tmp_path / "out"
+        assert cli.main(["convergence", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: delta_ph must be >= 1, got 0\n"
+        assert not out.exists()
+
     def test_strong_coupling_flags_failures(self, tmp_path):
         # a hard-driven strong-coupling run keeps weight at the cutoff, so
         # the audit must flag the small truncations as failing
@@ -506,6 +519,21 @@ class TestParser:
         assert capsys.readouterr().err.startswith(
             f"error: cannot create output directory {out}: ")
         assert taken.read_text() == ""
+
+    @pytest.mark.parametrize("command, name", [("fit", "fit.json"), ("evolve", "trajectory.csv")])
+    def test_unwritable_output_is_usage_error(self, tmp_path, capsys, command, name):
+        # an output file that cannot be opened, here because a directory has
+        # its name, exits 2 with a message instead of raising
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        fit_csv = tmp_path / "sweep.csv"
+        fit_csv.write_text("N,P_max\n1,1.0\n2,2.8\n3,5.2\n")
+        source = {"fit": [str(fit_csv)],
+                  "evolve": ["--config", write_config(tmp_path, **EVOLVE_CFG)]}[command]
+        assert cli.main([command, *source, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out / name}: ")
+        assert "Traceback" not in err
 
     def test_import_leaves_out_solvers_and_process_pool(self):
         # scipy.integrate serves only the oracle; scipy.sparse.linalg and the

@@ -72,6 +72,10 @@ class TestPropagationConfig:
             dict(sample_stride=True),
             dict(max_dim=1e5),
             dict(max_dim=False),
+            dict(t_max=True),
+            dict(dt="0.1"),
+            dict(dt=None),
+            dict(t_max=[1.0]),
         ],
     )
     def test_invalid(self, kwargs):

@@ -82,6 +82,12 @@ class TestModelParams:
             dict(N=2, R=0.0),
             dict(N=2, c_light=0.0),
             dict(N=2, coupling_mode="geometric", c_light=-1.0),
+            dict(N=2, T=True),
+            dict(N=2, g=True),
+            dict(N=2, g="x"),
+            dict(N=2, eta=[0.1]),
+            dict(N=2, g=None),
+            dict(N=2, Omega=np.bool_(True)),
         ],
     )
     def test_invalid_params(self, kwargs):
