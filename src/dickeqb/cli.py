@@ -109,14 +109,19 @@ NULLABLE_KEYS = ("N_ph", "n_init", "T")  # fields that take None
 
 
 def _number(key: str, value):
-    """A numeric config value, checked: finite, and an integer for INT_KEYS.
+    """A numeric config value, checked: finite, which an integer beyond the
+    float range is not, and an integer for INT_KEYS.
 
     JSON true/false are rejected although Python counts them as integers.
     """
     if value is None and key in NULLABLE_KEYS:
         return None
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or isinstance(value, float) and not math.isfinite(value)):
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    try:
+        finite = number and math.isfinite(value)
+    except OverflowError:  # an int that float() cannot hold
+        finite = False
+    if not finite:
         raise ConfigError(f"key {key!r} must be a finite number, got {json.dumps(value)}")
     if key in INT_KEYS:
         if value != int(value):

@@ -52,18 +52,18 @@ exact on any state; the tests check the sector against it.
 
 ``propagate`` also takes a batch: parameter sets that share the time
 dependence (Omega, omegad and T), such as the N = 1..6 points of a sweep
-cell.  Their sector states are stacked, each padded to the batch's
-largest Fock dimension, and their spin factors block-diagonally, so the
-batch steps as one system: one spin product per matvec, one drive
-coefficient c(t) and one sequence of kernel calls per interval.  The
-tolerances hold per block.  An interval takes the largest step count any
-block needs, since its error estimate is the largest of the per-block
-||(Omega6 - Omega4) psi_k||, and the Taylor series stops only when every
-block has converged against its own norm.  A block's trajectory can
-therefore differ from a solo run of the same point at the MAGNUS_TOL level,
-as its steps are shorter where another block needs them.  A single
-parameter set is a batch of one, with no padding and the arithmetic of a
-solo run.
+cell.  Their sector states are stacked, each padded to the batch's largest
+Fock dimension, and the stepper builds their factors in one pass, the spin
+factors block-diagonally (see ``_Stepper``), so the batch steps as one
+system: one spin product per matvec, one drive coefficient c(t) and one
+sequence of kernel calls per interval.  The tolerances hold per block.  An
+interval takes the largest step count any block needs, since its error
+estimate is the largest of the per-block ||(Omega6 - Omega4) psi_k||, and
+the Taylor series stops only when every block has converged against its
+own norm.  A block's trajectory can therefore differ from a solo run of
+the same point at the MAGNUS_TOL level, as its steps are shorter where
+another block needs them.  A single parameter set is a batch of one, with
+no padding and the arithmetic of a solo run.
 
 The independent reference ``oracle_propagate`` integrates i psi' = H(t) psi
 in the full space with the 8th-order Runge-Kutta method DOP853 (Hairer,
@@ -77,7 +77,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -259,74 +258,15 @@ def _batch(params) -> tuple:
     return batch
 
 
-class _BlockFactors(NamedTuple):
-    """One parameter set's share of the stepper's operators.
-
-    ``jx`` and ``flips`` act on the spin index; the other arrays are
-    (spin, width) grids that multiply the state element by element, and are
-    zero on the Fock levels n > N_ph that pad the block to the batch width.
-    """
-
-    jx: sp.csr_matrix  # 2g J_x
-    flips: sp.csr_matrix  # sum_d eta_d F_d
-    diag_off: np.ndarray  # H_b = omega0 J_z
-    diag_on: np.ndarray  # omega0 J_z + omega_c n
-    weights: np.ndarray  # sqrt(n + 1) for n < N_ph: a moves n + 1 to n, a' n to n + 1
-    omegac: np.ndarray
-    comm_drive: np.ndarray  # [a' + a, C] = 2 omega_c P
-    norms: tuple  # infinity norms of H_on, a'+a and C
-
-
-def _block_factors(p: ModelParams, spin, width: int) -> _BlockFactors:
-    """The factors of one parameter set with spin terms ``spin``, laid out
-    on ``width`` >= N_ph + 1 Fock levels.
-
-    The infinity norms are the largest row sums of the operators, taken from
-    the factors' row sums: on row (s, n), H_on holds the diagonal
-    omega0 J_z + omega_c n + sum_d eta_d F_d[s, s], the off-diagonal spin
-    entries of the flip-flop sum, and 2g J_x times the a'+a entries of level
-    n, whose positions are all distinct.
-    """
-    boson_dim = p.dims.boson_dim
-    fock = np.arange(width)
-    inside = fock < boson_dim
-    height = len(spin.jz)
-
-    def combination(pairs):
-        mats = [coefficient * mat for coefficient, mat in pairs if coefficient != 0.0]
-        return sum(mats[1:], mats[0]).tocsr() if mats else sp.csr_matrix((height, height))
-
-    jx = combination([(2.0 * p.g, spin.jx)])
-    flips = combination([(dipole_coupling(1, 1 + d, p), f_d)
-                         for d, f_d in enumerate(spin.flip_flops, start=1)])
-    h_b = p.omega0 * spin.jz
-    weights = np.where(fock < boson_dim - 1, np.sqrt(fock + 1.0), 0.0)
-    # [a, a'] = diag(1, ..., 1, -N_ph)
-    commutator = np.where(fock < boson_dim - 1, 1.0, np.where(inside, -float(p.photon_cutoff), 0.0))
-
-    def grid(levels, rows=np.zeros(height)):
-        """rows[s] + levels[n] on the block's Fock levels, 0 above them."""
-        return np.where(inside, rows[:, None] + levels, 0.0)
-
-    # Row sums of |a'+a| per Fock level, and of the spin factors per spin row.
-    ladder_rows = (weights + np.concatenate(([0.0], weights[:-1])))[:boson_dim]
-    off = abs(flips).tocoo()
-    mask = off.row != off.col
-    flip_rows = np.bincount(off.row[mask], weights=off.data[mask], minlength=height)
-    jx_rows = np.asarray(abs(jx).sum(axis=1)).ravel()
-    diagonal = (h_b + flips.diagonal())[:, None] + p.omegac * fock[:boson_dim]
-    on_rows = flip_rows[:, None] + abs(diagonal) + jx_rows[:, None] * ladder_rows
-    ladder_norm = float(ladder_rows.max())
-    return _BlockFactors(
-        jx=jx,
-        flips=flips,
-        diag_off=grid(0.0, h_b),
-        diag_on=grid(p.omegac * fock, h_b),
-        weights=grid(weights),
-        omegac=grid(p.omegac),
-        comm_drive=grid(2.0 * p.omegac * commutator),
-        norms=(float(on_rows.max()), ladder_norm, p.omegac * ladder_norm),
-    )
+def _block_diag(blocks, heights) -> sp.csr_matrix:
+    """The block-diagonal CSR matrix whose k-th block, of height
+    heights[k], is the sum of c M over the (c, M) pairs of blocks[k] with
+    c != 0."""
+    parts = []
+    for pairs, height in zip(blocks, heights):
+        mats = [c * mat for c, mat in pairs if c != 0.0]
+        parts.append(sum(mats[1:], mats[0]).tocsr() if mats else sp.csr_matrix((height, height)))
+    return sp.block_diag(parts, format="csr")
 
 
 class _Stepper:
@@ -342,11 +282,11 @@ class _Stepper:
     factors.  A block with spin dimension S is laid out as an S x width
     grid, spin-major, with width the largest N_ph + 1 of the batch; the
     levels above the block's own N_ph pad it and stay zero, since every
-    weight and diagonal entry there is zero.  A batch of one
-    has no padding, and ``unpack`` converts the layout to each block's own
-    coordinates.  H_on v, with the drive terms
-    c (a'+a) + kappa C of a driven step, is then four parts: the real
-    diagonal omega0 J_z + omega_c n times v; one sparse product of the
+    weight and diagonal entry there is zero.  A batch of one has no
+    padding, and ``unpack`` converts the layout to each block's own
+    coordinates.  H_on v, with the drive terms c (a'+a) + kappa C of a
+    driven step, is then four parts: the real diagonal
+    omega0 J_z + omega_c n times v; one sparse product of the
     block-diagonal spin stack [2g J_x ; sum_d eta_d F_d] with the state
     viewed as a real (spin, 2 width) array; its flip-flop half, added as it
     is; and its J_x half plus c v and kappa omega_c v moved one Fock level
@@ -366,7 +306,13 @@ class _Stepper:
 
     ``space`` builds the blocks' spin terms: ``full_spin_terms``, or
     ``even_spin_terms`` for the reflection-even sector, exact for the
-    states in it, which no operator leaves.
+    states in it, which no operator leaves.  The constructor reads them
+    once per block and builds the batch in one pass: the two spin matrices
+    block-diagonally, and every diagonal and weight as one (spin row, Fock
+    level) grid, which takes each row's block parameters (N_ph, omega_c,
+    omega0 J_z) as a column against the levels and is zero above the
+    row's N_ph.  The infinity norms reduce the same grids' row sums per
+    block.
     """
 
     def __init__(self, params, space):
@@ -376,26 +322,54 @@ class _Stepper:
         self.clock = batch[0]
         self.boson_dims = tuple(p.dims.boson_dim for p in batch)
         self.width = max(self.boson_dims)
-        parts = [_block_factors(p, space(p.N), self.width) for p in batch]
-        heights = [part.diag_on.shape[0] for part in parts]
+        spins = [space(p.N) for p in batch]
+        heights = [len(spin.jz) for spin in spins]
         self.height = sum(heights)
-        edges = self.width * np.cumsum([0] + heights)
+        row_edges = np.cumsum([0] + heights)
+        edges = self.width * row_edges
         self.blocks = tuple(slice(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]))
         # Where each block starts in the amplitudes viewed as real numbers.
         self.block_starts = 2 * edges[:-1]
-        self.jx = sp.block_diag([part.jx for part in parts], format="csr")
-        self.spin_stack = sp.vstack([self.jx, sp.block_diag([part.flips for part in parts])],
-                                    format="csr")
-        self.diag_off = np.concatenate([part.diag_off.ravel() for part in parts])
+        self.jx = _block_diag([[(2.0 * p.g, spin.jx)] for p, spin in zip(batch, spins)], heights)
+        flips = _block_diag([[(dipole_coupling(1, 1 + d, p), f_d)
+                              for d, f_d in enumerate(spin.flip_flops, start=1)]
+                             for p, spin in zip(batch, spins)], heights)
+        self.spin_stack = sp.vstack([self.jx, flips], format="csr")
+        cutoff, omegac = (np.repeat([getattr(p, name) for p in batch], heights)[:, None]
+                          for name in ("photon_cutoff", "omegac"))
+        h_b = np.concatenate([p.omega0 * spin.jz for p, spin in zip(batch, spins)])[:, None]
+        fock = np.arange(self.width)
+        inside = fock <= cutoff
+        weights = np.where(fock < cutoff, np.sqrt(fock + 1.0), 0.0)
+        # [a, a'] = diag(1, ..., 1, -N_ph), and comm_drive = [a'+a, C] = 2 omega_c [a, a']
+        commutator = np.where(fock < cutoff, 1.0, np.where(inside, -cutoff.astype(float), 0.0))
+
+        def grid(levels, rows=0.0):
+            """rows + levels on each row's Fock levels, 0 above them."""
+            return np.where(inside, rows + levels, 0.0)
+
+        self.diag_off = grid(0.0, h_b).ravel()
         # The factors that multiply complex states are stored complex: NumPy
         # multiplies two complex arrays faster than a real one by a complex one.
-        self.diag_on, weights, self.omegac, self.comm_drive = (
-            np.concatenate([getattr(part, name).ravel() for part in parts]).astype(np.complex128)
-            for name in ("diag_on", "weights", "omegac", "comm_drive"))
-        self.weights = weights[:-1]
+        self.diag_on, weight_grid, self.omegac, self.comm_drive = (
+            grid(*args).ravel().astype(np.complex128)
+            for args in ((omegac * fock, h_b), (weights,), (omegac,), (2.0 * omegac * commutator,)))
+        self.weights = weight_grid[:-1]
         self.omegac_sq = self.omegac * self.omegac
         # Per-block infinity norms: the stacked exponent's is their maximum.
-        self.norm_on, self.norm_drive, self.norm_comm = np.array([part.norms for part in parts]).T
+        # On row (s, n), H_on holds the diagonal omega0 J_z + omega_c n +
+        # sum_d eta_d F_d[s, s], the off-diagonal entries of the flip-flop
+        # sum, and 2g J_x times the a'+a entries of level n, all distinct.
+        ladder = weights + np.pad(weights[:, :-1], ((0, 0), (1, 0)))
+        off = abs(flips).tocoo()
+        mask = off.row != off.col
+        flip_rows = np.bincount(off.row[mask], weights=off.data[mask], minlength=self.height)
+        jx_rows = np.asarray(abs(self.jx).sum(axis=1))
+        diagonal = (h_b + flips.diagonal()[:, None]) + omegac * fock
+        on_rows = grid(flip_rows[:, None] + abs(diagonal) + jx_rows * ladder)
+        self.norm_on, self.norm_drive, self.norm_comm = (
+            np.maximum.reduceat(sums.max(axis=1), row_edges[:-1])
+            for sums in (on_rows, ladder, omegac * ladder))
         # The Taylor stop tests the block with the largest H_on first, the
         # one that is slowest to converge.
         self.stop_order = tuple(self.blocks[k] for k in np.argsort(-self.norm_on, kind="stable"))
@@ -445,6 +419,14 @@ class _Stepper:
         return self.kernel.apply(matvec, amps, -1j * h, segments=segments,
                                  blocks=self.stop_order, first=first)
 
+    def _magnus4_drive(self, t: float, h: float) -> tuple:
+        """c_mean = (c_a + c_b)/2 and c_comm = (sqrt(3)/12) h^2 (c_b - c_a), c_a
+        and c_b the drive at the Gauss-Legendre nodes of the step [t, t + h]:
+        its Magnus-4 exponent is -i h (H_on + c_mean (a'+a)) + c_comm C."""
+        c_a = drive_coefficient(t + GL_NODE_A * h, self.clock)
+        c_b = drive_coefficient(t + GL_NODE_B * h, self.clock)
+        return 0.5 * (c_a + c_b), MAGNUS_COMMUTATOR_WEIGHT * h * h * (c_b - c_a)
+
     def step(self, amps: np.ndarray, t: float, h: float, on: bool, probe=None) -> np.ndarray:
         """Advance the amplitudes from t to t + h (charger on or off).
 
@@ -455,17 +437,11 @@ class _Stepper:
             return np.exp((-1j * h) * self.diag_off) * amps
         if not self.has_drive:
             return self._exp(self.matvec, amps, h, h * self.norm_on)
-        c_a = drive_coefficient(t + GL_NODE_A * h, self.clock)
-        c_b = drive_coefficient(t + GL_NODE_B * h, self.clock)
-        c_mean = 0.5 * (c_a + c_b)
-        c_comm = MAGNUS_COMMUTATOR_WEIGHT * h * h * (c_b - c_a)
+        c_mean, c_comm = self._magnus4_drive(t, h)
         kappa = 1j * c_comm / h
         scales = self.drive_scales(c_mean, kappa)
         norm = h * (self.norm_on + abs(c_mean) * self.norm_drive) + abs(c_comm) * self.norm_comm
-        first = None
-        if probe is not None:
-            k_psi, d_psi, c_psi = probe[:3]
-            first = k_psi + c_mean * d_psi + kappa * c_psi
+        first = None if probe is None else probe[0] + c_mean * probe[1] + kappa * probe[2]
         return self._exp(lambda v: self.matvec(v, scales), amps, h, norm, first)
 
     def _probe(self, amps):
@@ -496,10 +472,9 @@ class _Stepper:
         state Y acts on, and the J_x half of one of the state X acts on.
         """
         k_psi, d_psi, c_psi, es_psi, ed_psi = probe
-        c_a, c_b, k1, k2, k3 = (
-            drive_coefficient(t + x * h, self.clock)
-            for x in (GL_NODE_A, GL_NODE_B, 0.5 - GL3_OFFSET, 0.5, 0.5 + GL3_OFFSET)
-        )
+        c_mean, c_comm = self._magnus4_drive(t, h)
+        k1, k2, k3 = (drive_coefficient(t + x * h, self.clock)
+                      for x in (0.5 - GL3_OFFSET, 0.5, 0.5 + GL3_OFFSET))
         # alpha1 = -i h (H_on + k2 D), alpha2 = -i b2 D, alpha3 = -i b3 D
         b2 = (math.sqrt(15.0) / 3.0) * h * (k3 - k1)
         b3 = (10.0 / 3.0) * h * (k3 - 2.0 * k2 + k1)
@@ -519,8 +494,7 @@ class _Stepper:
         xy_yx = self._ladder(
             x_k * (self.diag_on * y_psi + flips_y) - y_e * (self.comm_drive * (jx_x + k2 * x_psi)),
             ladder + comm, ladder - comm)
-        diff = ((-1j * (h * (k2 - 0.5 * (c_a + c_b)) + b3 / 12.0)) * d_psi
-                - (MAGNUS_COMMUTATOR_WEIGHT * h * h * (c_b - c_a)) * c_psi
+        diff = ((-1j * (h * (k2 - c_mean) + b3 / 12.0)) * d_psi - c_comm * c_psi
                 + xy_yx / 240.0)
         return np.sqrt(np.add.reduceat(np.square(diff.view(np.float64)), self.block_starts))
 

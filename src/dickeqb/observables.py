@@ -140,15 +140,15 @@ def ground_state(H, dims: HilbertDims) -> GroundStateResult:
     """Lowest eigenpair of the undriven Hamiltonian ``H``, a 2-D array or
     sparse matrix on the joint space of ``dims``.
 
-    ``H`` must be Hermitian within HERMITIAN_ATOL (ContractError) and of
-    shape (dims.total_dim, dims.total_dim) (DomainError).  It is solved in
-    its own dtype, integers and single precision promoted to double: the
-    model's real Hamiltonians as real symmetric matrices with a real start
-    vector, a complex Hermitian one on the complex solve.  Dense
+    ``H`` must be finite and Hermitian within HERMITIAN_ATOL (ContractError)
+    and of shape (dims.total_dim, dims.total_dim) (DomainError).  It is
+    solved in its own dtype, integers and single precision promoted to
+    double: the model's real Hamiltonians as real symmetric matrices with a
+    real start vector, a complex Hermitian one on the complex solve.  Dense
     diagonalization up to DENSE_SOLVER_DIM; above it ARPACK, with a dense
     fallback (dimensions up to DENSE_FALLBACK_MAX_DIM) when ARPACK does not
-    converge.  The ARPACK start vector is fixed so repeated runs are
-    bitwise reproducible.  It is the ramp 1 + k/n over the basis index k,
+    converge.  The ARPACK start vector is fixed so repeated runs are bitwise
+    reproducible.  It is the ramp 1 + k/n over the basis index k,
     normalised, which is not symmetric: the model's H commutes exactly with
     the site reflection, and a Krylov space stays in the symmetry sectors of
     its start vector, so a reflection-even start such as the uniform vector
@@ -166,6 +166,8 @@ def ground_state(H, dims: HilbertDims) -> GroundStateResult:
     if H.shape != (n, n):
         raise DomainError(f"matrix shape {H.shape} does not match total_dim {n}")
     mat = sp.csr_matrix(H, dtype=np.result_type(H.dtype, np.float64))
+    if not np.isfinite(mat.data).all():
+        raise ContractError("ground_state needs a finite matrix; it holds a NaN or inf entry")
     worst = _hermitian_defect(mat)
     if worst > HERMITIAN_ATOL:
         raise ContractError(f"ground_state needs a Hermitian matrix; it deviates by {worst:.3e}")
@@ -192,7 +194,7 @@ def ground_state(H, dims: HilbertDims) -> GroundStateResult:
     vec = np.ascontiguousarray(vecs[:, 0])
     vec = vec / np.linalg.norm(vec)
     residual = float(np.linalg.norm(mat.dot(vec) - energy * vec))
-    if residual > RESIDUAL_LIMIT:
+    if not residual <= RESIDUAL_LIMIT:  # a NaN residual fails too
         raise NumericalError(f"ground-state residual {residual:.3e} exceeds {RESIDUAL_LIMIT}")
     gap = float(vals[1] - vals[0]) if len(vals) > 1 else float("inf")
     state = StateVector(dims, vec)

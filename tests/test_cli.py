@@ -116,6 +116,15 @@ class TestEvolve:
         assert cli.main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith("error: key")
 
+    def test_int_beyond_float_range_is_config_error(self, tmp_path, capsys):
+        # float() cannot hold it, so the run would fail with an OverflowError
+        huge = 10**400
+        cfg = write_config(tmp_path, **{**EVOLVE_CFG, "t_max": huge})
+        assert cli.main(["evolve", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: key 't_max' must be a finite number, got {huge}\n"
+        assert not (tmp_path / "run").exists()
+
     def test_null_where_field_allows_none(self, tmp_path):
         cfg = write_config(tmp_path, **{**EVOLVE_CFG, "N_ph": None, "n_init": None, "T": None})
         assert cli.main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 0
@@ -174,6 +183,13 @@ class TestSweep:
         cfg = write_config(tmp_path, **{"N": [1, 2], "g": 0.1, "t_max": 0.2, "dt": 0.01, **bad})
         assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith("error: key")
+
+    def test_int_beyond_float_range_is_config_error(self, tmp_path, capsys):
+        huge = 10**400
+        cfg = write_config(tmp_path, N=[1, 2], g=[0.1, huge], t_max=0.2, dt=0.01)
+        assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: key 'g' must be a finite number, got {huge}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_missing_n(self, tmp_path):
         cfg = write_config(tmp_path, g=[0.1, 0.2])

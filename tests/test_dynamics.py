@@ -806,6 +806,20 @@ class TestFactoredApply:
                 _assert_applies(stepper.unpack(out)[k], want)
             for got, want in zip((stepper.norm_on, stepper.norm_drive, stepper.norm_comm), ops):
                 assert got[k] == pytest.approx(_inf_norm(want), rel=1e-12, abs=0.0)
+            # and it holds its solo stepper's arithmetic exactly: the same
+            # products, the same grids on its own Fock levels, the same norms
+            solo = _Stepper(p, space)
+            solo_applied = (*solo._probe(v), solo.matvec(v, solo.drive_scales(c, kappa)))
+            for out, want in zip(applied, solo_applied):
+                assert np.array_equal(stepper.unpack(out)[k], want)
+            for name in ("diag_off", "diag_on", "omegac", "omegac_sq", "comm_drive"):
+                assert np.array_equal(stepper.unpack(getattr(stepper, name))[k],
+                                      getattr(solo, name))
+            # ``weights`` drops the last row's top level, where the weight is 0
+            assert np.array_equal(stepper.unpack(np.append(stepper.weights, 0.0))[k],
+                                  np.append(solo.weights, 0.0))
+            for name in ("norm_on", "norm_drive", "norm_comm"):
+                assert getattr(stepper, name)[k] == getattr(solo, name)[0]
         # a Taylor apply keeps the padding at zero too
         out = stepper.step(amps, 0.3, 0.05, True, stepper._probe(amps))
         assert np.all(out[padding] == 0)

@@ -233,6 +233,36 @@ class TestGroundState:
         with pytest.raises(ContractError):
             ground_state(np.array([[0, 1], [0, 0]], dtype=complex), dims)
 
+    def test_rejects_non_finite_sparse_before_solving(self, monkeypatch):
+        # a NaN compares false, so it passed the Hermitian check and reached
+        # LAPACK or ARPACK, which raised a bare ValueError
+        def solve(*args, **kwargs):
+            raise AssertionError("a non-finite matrix reached the solver")
+
+        monkeypatch.setattr(spla, "eigsh", solve)
+        p = ModelParams(N=2, N_ph=12)
+        h = static_hamiltonian(p).tolil()
+        h[3, 3] = np.nan
+        with pytest.raises(ContractError, match="finite matrix"):
+            ground_state(h.tocsr(), p.dims)
+
+    def test_rejects_non_finite_dense(self):
+        h = np.diag([0.0, 1.0, np.inf, 2.0])
+        with pytest.raises(ContractError, match="finite matrix"):
+            ground_state(h, HilbertDims(1, 1))
+
+    def test_nan_eigenvector_is_numerical_error(self, monkeypatch):
+        # a NaN residual fails the residual check, so a phase point turns it
+        # into a NaN row instead of a ContractError from StateVector
+        def nan_pair(op, k, **kwargs):
+            return np.arange(float(k)), np.full((op.shape[0], k), np.nan)
+
+        monkeypatch.setattr(spla, "eigsh", nan_pair)
+        p = ModelParams(N=2, g=0.5, N_ph=12)
+        assert p.dims.total_dim > DENSE_SOLVER_DIM
+        with pytest.raises(NumericalError, match="residual"):
+            ground_state(static_hamiltonian(p), p.dims)
+
     @pytest.mark.parametrize("H", [ModelParams(N=2, N_ph=3, g=0.5), [[0.0] * 12] * 12,
                                    np.zeros(144), np.zeros((1, 12, 12))],
                              ids=["params", "list", "1-D", "3-D"])

@@ -6,7 +6,9 @@ definition.  Every method, other than a dunder method, that a package class
 defines must be the attribute of some use in the package whose root is not
 an imported module: ``np.linalg.norm`` does not use a method ``norm``.  Code
 that only the tests call belongs in ``tests/reference.py``.  Only ``cli.py``
-calls ``open``: the CLI does all the package's file I/O.
+calls ``open``: the CLI does all the package's file I/O.  Every name a
+module imports is read in that module, except in ``__init__.py``, whose
+imports are the ``__all__`` re-exports.
 """
 
 import ast
@@ -87,3 +89,19 @@ def test_only_the_cli_opens_files():
                       and "open" in (getattr(node.func, "id", None),
                                      getattr(node.func, "attr", None))})
     assert openers == ["cli.py"]
+
+
+def test_every_import_is_used():
+    trees, _ = parse_package()
+    unused = []
+    for module, tree in trees.items():
+        if module == "__init__.py":
+            continue
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{module}:{alias.asname or alias.name}"
+                   for node in ast.walk(tree)
+                   if isinstance(node, (ast.Import, ast.ImportFrom))
+                   and getattr(node, "module", None) != "__future__"
+                   for alias in node.names
+                   if (alias.asname or alias.name).split(".")[0] not in read]
+    assert unused == []
